@@ -1,346 +1,6 @@
-//! `harness --bench`: the pinned perf-benchmark mode.
-//!
-//! Runs a small, fixed set of representative jobs (baseline vs. the
-//! paper's proposal vs. the TL-DRAM variant, across two workloads) with
-//! the stage profiler on, times each run on the host's monotonic clock,
-//! and writes a schema-versioned `BENCH_<git-sha>.json` so the repo
-//! accumulates a per-commit perf trajectory (`scripts/bench_compare`
-//! diffs two of them).
-//!
-//! The bench document intentionally lives *outside* the run-report
-//! contract: run reports stay byte-identical whether or not a bench is
-//! being recorded, because the wall-clock numbers here are host facts,
-//! not simulated ones. Simulated results from bench runs are used only
-//! to derive rates (instructions and simulated cycles per wall second).
+//! Stage-profiler settings shared with the pinned performance benchmark
+//! (`perfbench/`), which times its traced runs with the same stride.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
-
-use das_sim::config::{Design, SystemConfig};
-use das_sim::experiments::{run_one_coherent_profiled, run_one_profiled};
-use das_telemetry::json::Value;
-use das_telemetry::{Stage, StageProfilerConfig};
-use das_workloads::{shared, spec};
-
-use crate::manifest::design_key;
-
-/// Version of the `BENCH_*.json` document layout. Bump on any breaking
-/// shape change; `scripts/bench_compare` refuses mismatched versions.
-pub const BENCH_SCHEMA: u64 = 1;
-
-/// Profiler sampling stride used by bench runs (every Nth stage
-/// occurrence is timed).
+/// Profiler sampling stride used by profiled benchmark runs (every Nth
+/// stage occurrence is timed).
 pub const BENCH_SAMPLE_EVERY: u32 = 64;
-
-/// The pinned job subset: small enough for CI, varied enough that a
-/// regression in the baseline path, the DAS management path, the
-/// inclusive/TL path, the coherent front end, or the adaptive-policy
-/// path is visible in isolation. A `shared:<kind>` workload token runs
-/// under the two-core MESI coherent front end at mid sharing intensity;
-/// a `policy:<key>:<bench>` token installs that migration policy.
-pub const BENCH_JOBS: [(Design, &str); 6] = [
-    (Design::Standard, "mcf"),
-    (Design::DasDram, "mcf"),
-    (Design::DasDram, "libquantum"),
-    (Design::TlDram, "mcf"),
-    (Design::DasDram, "shared:lock"),
-    (Design::DasDram, "policy:feedback:mcf"),
-];
-
-/// Knobs of a bench session (`--insts` / `--scale` pass through from the
-/// harness command line; the job list and sampling stride stay pinned).
-#[derive(Debug, Clone)]
-pub struct BenchOptions {
-    /// Per-core instruction budget for every bench job.
-    pub insts: u64,
-    /// Capacity scale factor for every bench job.
-    pub scale: u32,
-    /// Directory the `BENCH_<sha>.json` file is written into.
-    pub out_dir: PathBuf,
-}
-
-/// Stable id of a bench job (`bench/<design>/<workload>`).
-pub fn bench_job_id(design: Design, workload: &str) -> String {
-    format!("bench/{}/{workload}", design_key(design))
-}
-
-/// The short git revision of the working tree, or `"nogit"` when the
-/// repository state cannot be determined (detached environments, tarball
-/// builds). Used to name the bench artifact.
-pub fn git_short_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "nogit".to_string())
-}
-
-/// Runs one pinned bench job and returns its report object.
-fn run_bench_job(design: Design, workload: &str, opts: &BenchOptions) -> Result<Value, String> {
-    let id = bench_job_id(design, workload);
-    let cfg = SystemConfig::scaled_by(opts.scale, opts.insts)
-        .with_stage_profile(StageProfilerConfig::on(BENCH_SAMPLE_EVERY));
-    let start;
-    let (res, stages) = if let Some(kind) = workload.strip_prefix("shared:") {
-        let kind = shared::SharedKind::parse(kind)
-            .ok_or_else(|| format!("{id}: unknown shared workload kind"))?;
-        let spec = shared::SharedSpec::new(kind, 2, shared::Sharing::Mid);
-        start = Instant::now();
-        let (res, _tel, stages) =
-            run_one_coherent_profiled(&cfg, design, &spec, das_coherence::ProtocolKind::Mesi);
-        (res, stages)
-    } else if let Some(rest) = workload.strip_prefix("policy:") {
-        let (key, bench) = rest
-            .split_once(':')
-            .ok_or_else(|| format!("{id}: policy token needs policy:<key>:<bench>"))?;
-        let kind = das_policy::PolicyKind::parse(key)
-            .ok_or_else(|| format!("{id}: unknown migration policy {key:?}"))?;
-        let cfg = cfg.with_policy(kind);
-        let workloads = vec![spec::by_name(bench)];
-        start = Instant::now();
-        let (res, _tel, stages) = run_one_profiled(&cfg, design, &workloads);
-        (res, stages)
-    } else {
-        let workloads = vec![spec::by_name(workload)];
-        start = Instant::now();
-        let (res, _tel, stages) = run_one_profiled(&cfg, design, &workloads);
-        (res, stages)
-    };
-    let wall = start.elapsed();
-    let m = res.map_err(|e| format!("{id}: {e}"))?;
-    let stages = stages.ok_or_else(|| format!("{id}: bench run produced no stage report"))?;
-
-    let insts: u64 = m.cores.iter().map(|c| c.insts).sum();
-    let sim_cycles = m.window_cycles;
-    let wall_s = wall.as_secs_f64().max(1e-9);
-    let shares = stages.shares();
-    let mut share_obj = Value::obj();
-    for stage in Stage::ALL {
-        share_obj = share_obj.set(stage.label(), shares[stage as usize]);
-    }
-    eprintln!(
-        "bench {id}: {:.0} ms wall, {:.0} insts/s, {:.0} sim cycles/s",
-        wall_s * 1e3,
-        insts as f64 / wall_s,
-        sim_cycles as f64 / wall_s,
-    );
-    Ok(Value::obj()
-        .set("id", id)
-        .set("design", design_key(design))
-        .set("workload", workload)
-        .set("wall_ms", wall_s * 1e3)
-        .set("insts_retired", insts)
-        .set("sim_cycles", sim_cycles)
-        .set("insts_per_sec", insts as f64 / wall_s)
-        .set("sim_cycles_per_sec", sim_cycles as f64 / wall_s)
-        .set("stage_shares", share_obj)
-        .set("stages", stages.to_value()))
-}
-
-/// Runs the pinned bench suite and builds the schema-versioned document.
-///
-/// # Errors
-///
-/// Returns the first failing job's error (a bench is only meaningful when
-/// every pinned job completes).
-pub fn run_bench(opts: &BenchOptions) -> Result<Value, String> {
-    let mut jobs = Vec::new();
-    let mut wall_ms = 0.0;
-    let mut insts = 0u64;
-    let mut cycles = 0u64;
-    for (design, workload) in BENCH_JOBS {
-        let job = run_bench_job(design, workload, opts)?;
-        wall_ms += job.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0);
-        insts += job
-            .get("insts_retired")
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        cycles += job.get("sim_cycles").and_then(Value::as_u64).unwrap_or(0);
-        jobs.push(job);
-    }
-    let wall_s = (wall_ms / 1e3).max(1e-9);
-    Ok(Value::obj()
-        .set("bench_schema", BENCH_SCHEMA)
-        .set("git_sha", git_short_sha())
-        .set("insts", opts.insts)
-        .set("scale", u64::from(opts.scale))
-        .set("sample_every", u64::from(BENCH_SAMPLE_EVERY))
-        .set("jobs", Value::Arr(jobs))
-        .set(
-            "totals",
-            Value::obj()
-                .set("wall_ms", wall_ms)
-                .set("insts_retired", insts)
-                .set("sim_cycles", cycles)
-                .set("insts_per_sec", insts as f64 / wall_s)
-                .set("sim_cycles_per_sec", cycles as f64 / wall_s),
-        ))
-}
-
-/// Runs the bench suite and writes `BENCH_<git-sha>.json` into
-/// `opts.out_dir`. Returns the path written.
-///
-/// # Errors
-///
-/// Returns the first job failure or the write failure.
-pub fn run_bench_to_file(opts: &BenchOptions) -> Result<PathBuf, String> {
-    let doc = run_bench(opts)?;
-    let sha = doc
-        .get("git_sha")
-        .and_then(Value::as_str)
-        .unwrap_or("nogit")
-        .to_string();
-    let path = opts.out_dir.join(format!("BENCH_{sha}.json"));
-    std::fs::write(&path, doc.render() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    Ok(path)
-}
-
-/// Structural check of a bench document: schema version, required summary
-/// fields, and per-job rate/share fields. `scripts/bench_compare` and the
-/// CI perf-smoke job apply the same rules from the outside; this is the
-/// in-tree source of truth.
-///
-/// # Errors
-///
-/// Returns a message naming the first missing or malformed field.
-pub fn validate_bench_doc(doc: &Value) -> Result<(), String> {
-    match doc.get("bench_schema").and_then(Value::as_u64) {
-        Some(BENCH_SCHEMA) => {}
-        Some(v) => return Err(format!("bench_schema {v} != supported {BENCH_SCHEMA}")),
-        None => return Err("missing bench_schema".into()),
-    }
-    if doc.get("git_sha").and_then(Value::as_str).is_none() {
-        return Err("missing git_sha".into());
-    }
-    let jobs = doc
-        .get("jobs")
-        .and_then(Value::as_arr)
-        .ok_or("missing jobs array")?;
-    if jobs.is_empty() {
-        return Err("empty jobs array".into());
-    }
-    for job in jobs {
-        let id = job
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("job missing id")?;
-        for field in ["wall_ms", "insts_per_sec", "sim_cycles_per_sec"] {
-            if job.get(field).and_then(Value::as_f64).is_none() {
-                return Err(format!("{id}: missing {field}"));
-            }
-        }
-        let shares = job
-            .get("stage_shares")
-            .ok_or_else(|| format!("{id}: missing stage_shares"))?;
-        for stage in Stage::ALL {
-            if shares.get(stage.label()).and_then(Value::as_f64).is_none() {
-                return Err(format!("{id}: stage_shares missing {}", stage.label()));
-            }
-        }
-    }
-    for field in ["wall_ms", "insts_per_sec", "sim_cycles_per_sec"] {
-        if doc
-            .get("totals")
-            .and_then(|t| t.get(field))
-            .and_then(Value::as_f64)
-            .is_none()
-        {
-            return Err(format!("totals missing {field}"));
-        }
-    }
-    Ok(())
-}
-
-/// Convenience for tests and the CI smoke job: validate a bench file on
-/// disk.
-///
-/// # Errors
-///
-/// Returns read, parse, or validation failures with the path named.
-pub fn validate_bench_file(path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
-    let doc = das_telemetry::json::parse(&text)
-        .map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
-    validate_bench_doc(&doc).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_opts() -> BenchOptions {
-        BenchOptions {
-            insts: 40_000,
-            scale: 64,
-            out_dir: std::env::temp_dir(),
-        }
-    }
-
-    #[test]
-    fn bench_doc_is_schema_valid_and_covers_the_pinned_jobs() {
-        let doc = run_bench(&tiny_opts()).unwrap();
-        validate_bench_doc(&doc).expect("fresh bench doc must validate");
-        let jobs = doc.get("jobs").and_then(Value::as_arr).unwrap();
-        assert_eq!(jobs.len(), BENCH_JOBS.len());
-        for (job, (design, workload)) in jobs.iter().zip(BENCH_JOBS) {
-            assert_eq!(
-                job.get("id").and_then(Value::as_str).unwrap(),
-                bench_job_id(design, workload)
-            );
-            let rate = job.get("insts_per_sec").and_then(Value::as_f64).unwrap();
-            assert!(rate > 0.0, "rates must be positive, got {rate}");
-        }
-        assert!(
-            jobs.iter()
-                .any(|j| { j.get("id").and_then(Value::as_str) == Some("bench/das/shared:lock") }),
-            "the coherent front end is covered by the pinned suite"
-        );
-        assert!(
-            jobs.iter().any(|j| {
-                j.get("id").and_then(Value::as_str) == Some("bench/das/policy:feedback:mcf")
-            }),
-            "the adaptive-policy path is covered by the pinned suite"
-        );
-        das_telemetry::json::validate(&doc.render()).expect("bench doc must render as valid JSON");
-    }
-
-    #[test]
-    fn bench_file_round_trips_through_disk_validation() {
-        let dir = std::env::temp_dir().join("das-bench-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let opts = BenchOptions {
-            out_dir: dir,
-            ..tiny_opts()
-        };
-        let path = run_bench_to_file(&opts).unwrap();
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        assert!(
-            name.starts_with("BENCH_") && name.ends_with(".json"),
-            "unexpected bench artifact name {name}"
-        );
-        validate_bench_file(&path).unwrap();
-    }
-
-    #[test]
-    fn validation_rejects_broken_documents() {
-        for (doc, needle) in [
-            (Value::obj(), "bench_schema"),
-            (Value::obj().set("bench_schema", 999u64), "999"),
-            (
-                Value::obj()
-                    .set("bench_schema", BENCH_SCHEMA)
-                    .set("git_sha", "x"),
-                "jobs",
-            ),
-        ] {
-            let err = validate_bench_doc(&doc).unwrap_err();
-            assert!(err.contains(needle), "{err}");
-        }
-    }
-}

@@ -1,15 +1,14 @@
 //! The experiment catalog: every figure, table and ablation of the paper
 //! as a pair of pure functions — `build` (parameters → [`JobSpec`] list)
-//! and `render` (journalled reports → the exact text the original
-//! `das-bench` binary printed).
+//! and `render` (journalled reports → the experiment's text output,
+//! `<id>.txt`).
 //!
 //! `build` encodes the run matrix; `render` never simulates. Job order
-//! within each experiment mirrors the original binary's execution order,
-//! so the `{"runs":[...]}` compatibility export keeps its historical
-//! content order (the only deliberate difference: runs the old binaries
-//! executed twice — `power`'s breakdown loop, `ablation_salp`'s baseline —
+//! within each experiment is the execution order, so the `{"runs":[...]}`
+//! export (`<id>.json`) keeps a stable content order. Runs a figure
+//! needs twice — `power`'s breakdown loop, `ablation_salp`'s baseline —
 //! are journalled once and re-used, which deterministic simulation makes
-//! an identical-output transformation).
+//! an identical-output transformation.
 
 use std::fmt::Write as _;
 
@@ -24,6 +23,10 @@ use crate::manifest::{parse_design, JobSpec, Overrides};
 use crate::render::{access_mix_line, improvement_table, pct, RenderCtx};
 use crate::report::ReportView;
 
+/// File name (relative to the output directory) of the telemetry
+/// experiment's Chrome trace export.
+pub const TRACE_NAME: &str = "telemetry_trace.json";
+
 /// Parameters the run matrix is built from.
 #[derive(Debug, Clone)]
 pub struct BuildParams {
@@ -33,26 +36,22 @@ pub struct BuildParams {
     pub scale: u32,
     /// Restrict to a subset of benchmarks/mixes (empty = all).
     pub only: Vec<String>,
-    /// File name (relative to the output directory) for the telemetry
-    /// experiment's Chrome trace export.
-    pub trace_name: String,
 }
 
 impl BuildParams {
-    /// The historical defaults of every `das-bench` binary.
+    /// Default parameters: every benchmark/mix.
     pub fn new(insts: u64, scale: u32) -> BuildParams {
         BuildParams {
             insts,
             scale,
             only: Vec::new(),
-            trace_name: "telemetry_trace.json".to_string(),
         }
     }
 }
 
 /// One catalog entry.
 pub struct Experiment {
-    /// Stable identifier (also the legacy binary name).
+    /// Stable identifier (`harness --exp <id>`, output file stem).
     pub id: &'static str,
     /// Builds the experiment's jobs in execution order.
     pub build: fn(&BuildParams) -> Vec<JobSpec>,
@@ -1666,7 +1665,7 @@ fn build_telemetry(p: &BuildParams) -> Vec<JobSpec> {
         seed: 42,
         ov: Overrides {
             telemetry_epoch: Some(EPOCH_CYCLES),
-            trace_path: Some(p.trace_name.clone()),
+            trace_path: Some(TRACE_NAME.to_string()),
             ..Overrides::default()
         },
     }]

@@ -1,21 +1,13 @@
-//! Command-line drivers.
+//! Command-line entry point of the standalone `harness` orchestrator
+//! ([`harness_main`]): executes any manifest (or the whole catalog) across
+//! threads with a resumable fsync'd journal, writing `<id>.txt` /
+//! `<id>.json` per experiment. [`execute_jobs`] and
+//! [`render_experiment_outputs`] are shared with `das-serve`.
 //!
-//! Two entry points share one execution core:
-//!
-//! * [`bin_main`] — what every legacy figure binary's `main` now calls.
-//!   It keeps the historical flags (`--insts/--scale/--only/--json`) and
-//!   output bytes, and adds `--threads N` (bit-identical results for any
-//!   N) and `--emit-manifest PATH` (describe the run matrix instead of
-//!   executing it).
-//! * [`harness_main`] — the standalone `harness` orchestrator: executes
-//!   any manifest (or the whole catalog) across threads with a resumable
-//!   fsync'd journal, writing `<id>.txt` / `<id>.json` per experiment.
-//!
-//! Argument parsing is pure and `Result`-based ([`parse_bin_args`],
-//! [`parse_harness_args`]): a malformed flag prints a structured usage
-//! error to stderr and exits with code 2 — never a panic or backtrace.
-//! Runtime failures (unreadable manifest, simulation error) keep exit
-//! code 1.
+//! Argument parsing is pure and `Result`-based ([`parse_harness_args`]):
+//! a malformed flag prints a structured usage error to stderr and exits
+//! with code 2 — never a panic or backtrace. Runtime failures (unreadable
+//! manifest, simulation error) keep exit code 1.
 
 use std::path::{Path, PathBuf};
 
@@ -128,15 +120,6 @@ fn insts_retired(report: &Value) -> u64 {
         .unwrap_or(0)
 }
 
-/// `telemetry_report.json` → `telemetry_report_trace.json` (the legacy
-/// telemetry binary's derivation).
-fn derive_trace_path(report_path: &str) -> String {
-    report_path
-        .strip_suffix(".json")
-        .map(|stem| format!("{stem}_trace.json"))
-        .unwrap_or_else(|| format!("{report_path}_trace.json"))
-}
-
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(1);
@@ -205,74 +188,8 @@ fn need_list(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<Vec<S
     Ok(need(args, flag)?.split(',').map(str::to_string).collect())
 }
 
-/// Usage line of the legacy figure binaries ([`bin_main`]).
-pub const BIN_USAGE: &str = "usage: <figure-bin> [--insts N] [--scale N] [--only a,b] \
-     [--json PATH] [--threads N] [--emit-manifest PATH] \
-     [--trace-store DIR] [--no-trace-store]";
-
-/// Parsed flags of a legacy figure binary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinArgs {
-    /// `--insts N` (per-core instruction budget).
-    pub insts: u64,
-    /// `--scale N` (capacity scale factor).
-    pub scale: u32,
-    /// `--only a,b` (benchmark/mix subset; empty = all).
-    pub only: Vec<String>,
-    /// `--json PATH` (run-report export).
-    pub json: Option<String>,
-    /// `--threads N` (bit-identical for any N ≥ 1).
-    pub threads: usize,
-    /// `--emit-manifest PATH` (describe the matrix instead of running).
-    pub emit_manifest: Option<String>,
-    /// `--trace-store DIR`.
-    pub trace_store_dir: Option<String>,
-    /// `--no-trace-store` (wins over `--trace-store`).
-    pub no_trace_store: bool,
-}
-
-impl Default for BinArgs {
-    fn default() -> BinArgs {
-        BinArgs {
-            insts: 3_000_000,
-            scale: 64,
-            only: Vec::new(),
-            json: None,
-            threads: 1,
-            emit_manifest: None,
-            trace_store_dir: None,
-            no_trace_store: false,
-        }
-    }
-}
-
-/// Parses a legacy figure binary's arguments.
-///
-/// # Errors
-///
-/// Returns a usage message naming the offending flag and value (malformed
-/// integers, missing values, unknown flags) — callers print it and exit 2.
-pub fn parse_bin_args<I: IntoIterator<Item = String>>(args: I) -> Result<BinArgs, String> {
-    let mut out = BinArgs::default();
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--insts" => out.insts = need_u64(&mut args, "--insts")?,
-            "--scale" => out.scale = need_u32(&mut args, "--scale")?,
-            "--only" => out.only = need_list(&mut args, "--only")?,
-            "--json" => out.json = Some(need(&mut args, "--json")?),
-            "--threads" => out.threads = need_u64(&mut args, "--threads")? as usize,
-            "--emit-manifest" => out.emit_manifest = Some(need(&mut args, "--emit-manifest")?),
-            "--trace-store" => out.trace_store_dir = Some(need(&mut args, "--trace-store")?),
-            "--no-trace-store" => out.no_trace_store = true,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(out)
-}
-
 /// Usage line of the standalone `harness` binary ([`harness_main`]).
-pub const HARNESS_USAGE: &str = "usage: harness (--manifest PATH | --all | --exp a,b | --bench) \
+pub const HARNESS_USAGE: &str = "usage: harness (--manifest PATH | --all | --exp a,b) \
      [--insts N] [--scale N] [--only a,b] [--threads N] [--resume] \
      [--json-dir DIR] [--emit-manifest PATH] [--validate-journal PATH] \
      [--trace-store DIR] [--no-trace-store]";
@@ -306,8 +223,6 @@ pub struct HarnessArgs {
     pub no_trace_store: bool,
     /// `--validate-journal PATH` (check a journal and exit).
     pub validate_journal: Option<String>,
-    /// `--bench` (run the pinned perf suite and write `BENCH_<sha>.json`).
-    pub bench: bool,
 }
 
 impl Default for HarnessArgs {
@@ -326,7 +241,6 @@ impl Default for HarnessArgs {
             trace_store_dir: None,
             no_trace_store: false,
             validate_journal: None,
-            bench: false,
         }
     }
 }
@@ -357,7 +271,6 @@ pub fn parse_harness_args<I: IntoIterator<Item = String>>(args: I) -> Result<Har
             "--validate-journal" => {
                 out.validate_journal = Some(need(&mut args, "--validate-journal")?);
             }
-            "--bench" => out.bench = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -365,9 +278,8 @@ pub fn parse_harness_args<I: IntoIterator<Item = String>>(args: I) -> Result<Har
         && out.manifest_path.is_none()
         && !out.all
         && out.exp_ids.is_empty()
-        && !out.bench
     {
-        return Err("nothing to run (pass --manifest, --all, --exp or --bench)".into());
+        return Err("nothing to run (pass --manifest, --all or --exp)".into());
     }
     Ok(out)
 }
@@ -398,7 +310,6 @@ pub fn build_catalog_manifest(
         insts,
         scale,
         only: only.to_vec(),
-        trace_name: "telemetry_trace.json".to_string(),
     };
     let mut expanded: Vec<&'static str> = Vec::new();
     for id in ids {
@@ -472,7 +383,7 @@ pub fn render_experiment_outputs(
             .jobs
             .iter()
             .find_map(|j| j.ov.trace_path.clone())
-            .unwrap_or_else(|| "telemetry_trace.json".to_string());
+            .unwrap_or_else(|| catalog::TRACE_NAME.to_string());
         let exp_reports = &reports[offset..offset + n];
         let ctx = RenderCtx {
             insts: manifest.insts,
@@ -503,77 +414,6 @@ pub fn render_experiment_outputs(
     Ok(())
 }
 
-/// Entry point of every figure/table/ablation binary: builds the
-/// experiment's manifest from the historical flags and either emits it or
-/// executes it and prints the historical text output.
-///
-/// Flags: `--insts N`, `--scale N`, `--only a,b`, `--json PATH`,
-/// `--threads N`, `--emit-manifest PATH`, `--trace-store DIR`,
-/// `--no-trace-store`. Malformed arguments (or an unknown experiment id)
-/// print a usage error to stderr and exit 2 — no panics, no backtraces.
-pub fn bin_main(id: &str) {
-    let args =
-        parse_bin_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_die(&e, BIN_USAGE));
-    let Some(exp) = catalog::by_id(id) else {
-        usage_die(&format!("unknown experiment {id:?}"), BIN_USAGE)
-    };
-    let report_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "telemetry_report.json".to_string());
-    let trace_path = derive_trace_path(&report_path);
-    let params = BuildParams {
-        insts: args.insts,
-        scale: args.scale,
-        only: args.only.clone(),
-        trace_name: trace_path.clone(),
-    };
-    let manifest = Manifest {
-        insts: args.insts,
-        scale: args.scale,
-        experiments: vec![ExperimentPlan {
-            id: id.to_string(),
-            jobs: (exp.build)(&params),
-        }],
-    };
-    if let Err(e) = manifest.validate() {
-        die(&format!("invalid run matrix: {e}"));
-    }
-    if let Some(path) = args.emit_manifest {
-        write_or_die(Path::new(&path), &(manifest.render() + "\n"));
-        eprintln!("wrote manifest ({} jobs): {path}", manifest.jobs().len());
-        return;
-    }
-    let jobs = &manifest.experiments[0].jobs;
-    let store = open_trace_store(args.trace_store_dir, args.no_trace_store);
-    let opts = ExecOptions {
-        threads: args.threads,
-        out_dir: Path::new("."),
-        progress: false,
-        trace_store: store.as_ref(),
-    };
-    let reports = execute_jobs(jobs, &opts, None).unwrap_or_else(|e| die(&e));
-    if let Some(s) = &store {
-        eprintln!("{}", store_summary(s));
-    }
-    // Exports happen before rendering, which may assert on the results —
-    // the legacy binaries wrote their files first too.
-    if id == "telemetry" {
-        write_or_die(Path::new(&report_path), &reports[0].render());
-    } else if let Some(path) = &args.json {
-        write_or_die(Path::new(path), &journal::runs_doc(&reports).render());
-    }
-    let ctx = RenderCtx {
-        insts: args.insts,
-        scale: args.scale,
-        jobs,
-        reports: &reports,
-        report_path,
-        trace_path,
-    };
-    print!("{}", (exp.render)(&ctx));
-}
-
 /// Entry point of the standalone `harness` binary.
 ///
 /// Selects a run matrix (`--manifest PATH`, the full catalog via `--all`,
@@ -581,10 +421,7 @@ pub fn bin_main(id: &str) {
 /// an fsync'd journal at `<json-dir>/journal.jsonl` (`--resume` continues
 /// a previous run), and writes `<id>.txt` + `<id>.json` per experiment.
 /// `--emit-manifest PATH` writes the matrix instead of executing;
-/// `--validate-journal PATH` structurally checks a journal and exits;
-/// `--bench` runs the pinned perf suite (see [`crate::bench`]) and writes
-/// `BENCH_<git-sha>.json` into `--json-dir` (default: the current
-/// directory, conventionally the repo root).
+/// `--validate-journal PATH` structurally checks a journal and exits.
 /// Malformed arguments print a usage error to stderr and exit 2.
 pub fn harness_main() {
     let args = parse_harness_args(std::env::args().skip(1))
@@ -602,20 +439,6 @@ pub fn harness_main() {
             }
             Err(e) => die(&format!("{path}: invalid journal: {e}")),
         }
-    }
-    if args.bench {
-        let out_dir = PathBuf::from(args.json_dir.unwrap_or_else(|| ".".to_string()));
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            die(&format!("cannot create {}: {e}", out_dir.display()));
-        }
-        let opts = crate::bench::BenchOptions {
-            insts: args.insts,
-            scale: args.scale,
-            out_dir,
-        };
-        let path = crate::bench::run_bench_to_file(&opts).unwrap_or_else(|e| die(&e));
-        println!("bench written: {}", path.display());
-        return;
     }
     let manifest = if let Some(path) = &args.manifest_path {
         let text = std::fs::read_to_string(path)
@@ -698,16 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_path_derivation_matches_the_legacy_binary() {
-        assert_eq!(
-            derive_trace_path("telemetry_report.json"),
-            "telemetry_report_trace.json"
-        );
-        assert_eq!(derive_trace_path("results/t.json"), "results/t_trace.json");
-        assert_eq!(derive_trace_path("weird.dat"), "weird.dat_trace.json");
-    }
-
-    #[test]
     fn execute_jobs_skips_the_journalled_prefix() {
         let dir = std::env::temp_dir().join("das-harness-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -755,56 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn bin_args_parse_the_full_flag_set() {
-        let a = parse_bin_args(argv(&[
-            "--insts",
-            "500",
-            "--scale",
-            "8",
-            "--only",
-            "mcf,lbm",
-            "--json",
-            "out.json",
-            "--threads",
-            "4",
-            "--trace-store",
-            "ts",
-            "--no-trace-store",
-        ]))
-        .unwrap();
-        assert_eq!(a.insts, 500);
-        assert_eq!(a.scale, 8);
-        assert_eq!(a.only, vec!["mcf".to_string(), "lbm".to_string()]);
-        assert_eq!(a.json.as_deref(), Some("out.json"));
-        assert_eq!(a.threads, 4);
-        assert_eq!(a.trace_store_dir.as_deref(), Some("ts"));
-        assert!(a.no_trace_store);
-        assert_eq!(parse_bin_args(argv(&[])).unwrap(), BinArgs::default());
-    }
-
-    #[test]
-    fn bin_args_reject_each_malformed_flag() {
-        // Every failure mode is a structured message, never a panic.
-        for (args, needle) in [
-            (vec!["--insts", "foo"], "--insts"),
-            (vec!["--insts"], "needs a value"),
-            (vec!["--insts", "0"], "positive"),
-            (vec!["--scale", "-3"], "--scale"),
-            (vec!["--scale", "5000000000"], "--scale"),
-            (vec!["--threads", "two"], "--threads"),
-            (vec!["--threads", "0"], "positive"),
-            (vec!["--json"], "--json needs a value"),
-            (vec!["--only"], "--only needs a value"),
-            (vec!["--emit-manifest"], "needs a value"),
-            (vec!["--trace-store"], "needs a value"),
-            (vec!["--frobnicate"], "unknown argument"),
-        ] {
-            let err = parse_bin_args(argv(&args)).unwrap_err();
-            assert!(err.contains(needle), "{args:?}: {err}");
-        }
-    }
-
-    #[test]
     fn harness_args_reject_each_malformed_flag() {
         for (args, needle) in [
             (vec!["--exp"], "--exp needs a value"),
@@ -827,14 +590,6 @@ mod tests {
         // --validate-journal alone is a complete invocation.
         let a = parse_harness_args(argv(&["--validate-journal", "j.jsonl"])).unwrap();
         assert_eq!(a.validate_journal.as_deref(), Some("j.jsonl"));
-        // --bench alone is a complete invocation, and composes with the
-        // budget/scale flags it honours.
-        let a = parse_harness_args(argv(&["--bench"])).unwrap();
-        assert!(a.bench);
-        let a =
-            parse_harness_args(argv(&["--bench", "--insts", "50000", "--scale", "64"])).unwrap();
-        assert!(a.bench);
-        assert_eq!(a.insts, 50_000);
     }
 
     #[test]

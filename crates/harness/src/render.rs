@@ -3,9 +3,8 @@
 //! Every experiment's text output is a **pure function of journalled
 //! reports** (plus the manifest's grid parameters): the same
 //! `render` runs over a live run, a resumed one, or a reloaded journal,
-//! and produces the same bytes. Format strings here replicate the
-//! original `das-bench` binaries character-for-character, so regenerated
-//! `results/*.txt` stay diff-stable against `EXPERIMENTS.md`.
+//! and produces the same bytes. Format strings here are frozen, so
+//! regenerated `results/*.txt` stay diff-stable against `EXPERIMENTS.md`.
 
 use das_sim::stats::gmean_improvement;
 use das_telemetry::json::Value;

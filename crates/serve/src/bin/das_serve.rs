@@ -10,17 +10,13 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use das_harness::journal::load_service;
-use das_serve::chaos::ChaosConfig;
 use das_serve::proto::DEFAULT_MAX_FRAME;
 use das_serve::server::{Server, ServerConfig};
 
 const USAGE: &str = "usage: das-serve [--addr HOST:PORT] [--threads N] [--capacity N] \
      [--json-dir DIR] [--trace-store DIR] [--read-timeout-ms N] \
-     [--max-frame BYTES] [--retry-after-ms N] [--resume-journal] [--generation N]\n\
-       das-serve --validate-journal PATH\n\
-chaos (env): DAS_CHAOS=1 arms DAS_CHAOS_SEED / DAS_CHAOS_KILL_AFTER_JOBS / \
-DAS_CHAOS_KILL_MARKER / DAS_CHAOS_DROP_CONN_EVERY / DAS_CHAOS_DELAY_MS / \
-DAS_CHAOS_TRACE_FAIL_FIRST";
+     [--max-frame BYTES] [--retry-after-ms N] [--resume-journal]\n\
+       das-serve --validate-journal PATH";
 
 #[derive(Debug, PartialEq, Eq)]
 struct Args {
@@ -33,7 +29,6 @@ struct Args {
     max_frame: usize,
     retry_after_ms: u64,
     resume_journal: bool,
-    generation: u64,
     validate_journal: Option<String>,
 }
 
@@ -49,7 +44,6 @@ impl Default for Args {
             max_frame: DEFAULT_MAX_FRAME,
             retry_after_ms: 250,
             resume_journal: false,
-            generation: 0,
             validate_journal: None,
         }
     }
@@ -84,7 +78,6 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
             "--max-frame" => out.max_frame = need_u64(&mut args, "--max-frame")? as usize,
             "--retry-after-ms" => out.retry_after_ms = need_u64(&mut args, "--retry-after-ms")?,
             "--resume-journal" => out.resume_journal = true,
-            "--generation" => out.generation = need_u64(&mut args, "--generation")?,
             "--validate-journal" => {
                 out.validate_journal = Some(need(&mut args, "--validate-journal")?);
             }
@@ -135,8 +128,6 @@ fn main() {
         max_frame: args.max_frame,
         retry_after_ms: args.retry_after_ms,
         resume_journal: args.resume_journal,
-        generation: args.generation,
-        chaos: ChaosConfig::from_env(),
     };
     let server = Server::bind(&args.addr, cfg).unwrap_or_else(|e| die(&e));
     let addr = server

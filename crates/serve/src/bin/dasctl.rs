@@ -1,63 +1,33 @@
-//! `dasctl` — the `das-serve` / `das-fleet` client.
+//! `dasctl` — the `das-serve` client.
 //!
 //! Subcommands: `submit` (submit experiments, stream results, render the
 //! same `<id>.txt` / `<id>.json` artifacts a direct `harness` run
-//! writes), `status`, `watch`, `cancel`, `stats` (one-shot JSON or a
-//! `--watch` top-style live fleet view with per-worker generation,
-//! uptime and QPS), `metrics` (Prometheus exposition text), `list`,
-//! `drain`.
+//! writes), `status`, `watch`, `cancel`, `stats` (one-shot JSON),
+//! `metrics` (Prometheus exposition text), `list`, `drain`.
 //!
-//! Targets: `--addr HOST:PORT` (one server), `--addrs A,B,C` (a static
-//! fleet), or `--fleet-dir DIR` (a `das-fleet` directory whose address
-//! file is re-read when workers restart). Against a single server,
-//! `submit` retries `busy` rejections with capped seeded-jitter backoff;
-//! against a fleet it runs the full resilience policy: shard routing,
-//! idempotent reconnect-and-resubmit, bounded retries and (with
-//! `--hedge-ms`) hedged duplicate submission. Malformed arguments exit
-//! 2; runtime failures exit 1.
+//! Every command targets one server, `--addr HOST:PORT`. `submit`
+//! retries `busy` rejections with capped seeded-jitter backoff.
+//! Malformed arguments exit 2; runtime failures exit 1.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use das_harness::cli::{build_catalog_manifest, render_experiment_outputs};
-use das_harness::manifest::JobSpec;
 use das_serve::client::{collect_stream, into_ok, Client};
-use das_serve::fleet_client::{AddrSource, FleetClient, FleetClientConfig};
 use das_serve::proto;
 use das_serve::retry::BackoffPolicy;
-use das_telemetry::counters::merge_numeric;
-use das_telemetry::hist::LatencyHistogram;
 use das_telemetry::json::Value;
 
-const USAGE: &str = "usage: dasctl <command> (--addr HOST:PORT | --addrs A,B | --fleet-dir DIR) \
-[options]\n\
+const USAGE: &str = "usage: dasctl <command> --addr HOST:PORT [options]\n\
   submit  --exp a,b [--insts N] [--scale N] [--only a,b] [--out-dir DIR]\n\
-          [--ticket T] [--seed N] [--hedge-ms N] [--job-retries N] [--max-attempts N]\n\
+          [--seed N] [--max-attempts N]\n\
   status  --job ID\n\
   watch   --job ID\n\
   cancel  --job ID\n\
-  stats   [--watch] [--interval-ms N] [--iterations N]\n\
+  stats\n\
   metrics\n\
   list\n\
   drain   [--wait]";
-
-/// Where requests go: one server, or a shard-indexed fleet.
-#[derive(Debug, PartialEq, Eq)]
-enum Target {
-    Single(String),
-    Addrs(Vec<String>),
-    FleetDir(String),
-}
-
-impl Target {
-    fn source(&self) -> AddrSource {
-        match self {
-            Target::Single(a) => AddrSource::Static(vec![a.clone()]),
-            Target::Addrs(a) => AddrSource::Static(a.clone()),
-            Target::FleetDir(d) => AddrSource::Dir(PathBuf::from(d)),
-        }
-    }
-}
 
 #[derive(Debug, PartialEq, Eq)]
 enum Command {
@@ -67,10 +37,7 @@ enum Command {
         scale: u32,
         only: Vec<String>,
         out_dir: String,
-        ticket: Option<String>,
         seed: u64,
-        hedge_ms: Option<u64>,
-        job_retries: u32,
         max_attempts: u32,
     },
     Status {
@@ -82,15 +49,7 @@ enum Command {
     Cancel {
         job: String,
     },
-    Stats {
-        /// Refreshing top-style view instead of a one-shot JSON dump.
-        watch: bool,
-        /// Refresh interval in watch mode.
-        interval_ms: u64,
-        /// Watch iterations; 0 means until interrupted (bounded values
-        /// make the mode scriptable and testable).
-        iterations: u64,
-    },
+    Stats,
     Metrics,
     List,
     Drain {
@@ -100,7 +59,7 @@ enum Command {
 
 #[derive(Debug, PartialEq, Eq)]
 struct Args {
-    target: Target,
+    addr: String,
     command: Command,
 }
 
@@ -131,28 +90,18 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
     let mut args = args.into_iter();
     let cmd = args.next().ok_or("missing command")?;
     let mut addr: Option<String> = None;
-    let mut addrs: Option<Vec<String>> = None;
-    let mut fleet_dir: Option<String> = None;
     let mut exps: Vec<String> = Vec::new();
     let mut insts = 3_000_000u64;
     let mut scale = 64u32;
     let mut only: Vec<String> = Vec::new();
     let mut out_dir = ".".to_string();
-    let mut ticket: Option<String> = None;
     let mut seed = 0u64;
-    let mut hedge_ms: Option<u64> = None;
-    let mut job_retries = 3u32;
     let mut max_attempts = 8u32;
     let mut job: Option<String> = None;
     let mut wait = false;
-    let mut watch = false;
-    let mut interval_ms = 1000u64;
-    let mut iterations = 0u64;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--addr" => addr = Some(need(&mut args, "--addr")?),
-            "--addrs" => addrs = Some(need_list(&mut args, "--addrs")?),
-            "--fleet-dir" => fleet_dir = Some(need(&mut args, "--fleet-dir")?),
             "--exp" => exps = need_list(&mut args, "--exp")?,
             "--insts" => insts = need_u64(&mut args, "--insts")?,
             "--scale" => {
@@ -161,32 +110,17 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
             }
             "--only" => only = need_list(&mut args, "--only")?,
             "--out-dir" => out_dir = need(&mut args, "--out-dir")?,
-            "--ticket" => ticket = Some(need(&mut args, "--ticket")?),
             "--seed" => seed = need_any_u64(&mut args, "--seed")?,
-            "--hedge-ms" => hedge_ms = Some(need_u64(&mut args, "--hedge-ms")?),
-            "--job-retries" => {
-                job_retries = u32::try_from(need_any_u64(&mut args, "--job-retries")?)
-                    .map_err(|_| "--job-retries is out of range".to_string())?;
-            }
             "--max-attempts" => {
                 max_attempts = u32::try_from(need_u64(&mut args, "--max-attempts")?)
                     .map_err(|_| "--max-attempts is out of range".to_string())?;
             }
             "--job" => job = Some(need(&mut args, "--job")?),
             "--wait" => wait = true,
-            "--watch" => watch = true,
-            "--interval-ms" => interval_ms = need_u64(&mut args, "--interval-ms")?,
-            "--iterations" => iterations = need_u64(&mut args, "--iterations")?,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let target = match (addr, addrs, fleet_dir) {
-        (Some(a), None, None) => Target::Single(a),
-        (None, Some(a), None) => Target::Addrs(a),
-        (None, None, Some(d)) => Target::FleetDir(d),
-        (None, None, None) => return Err("one of --addr, --addrs, --fleet-dir is required".into()),
-        _ => return Err("pick exactly one of --addr, --addrs, --fleet-dir".into()),
-    };
+    let addr = addr.ok_or("--addr HOST:PORT is required")?;
     let job_for =
         |cmd: &str, job: Option<String>| job.ok_or_else(|| format!("{cmd} needs --job ID"));
     let command = match cmd.as_str() {
@@ -200,10 +134,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
                 scale,
                 only,
                 out_dir,
-                ticket,
                 seed,
-                hedge_ms,
-                job_retries,
                 max_attempts,
             }
         }
@@ -216,17 +147,13 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
         "cancel" => Command::Cancel {
             job: job_for("cancel", job)?,
         },
-        "stats" => Command::Stats {
-            watch,
-            interval_ms,
-            iterations,
-        },
+        "stats" => Command::Stats,
         "metrics" => Command::Metrics,
         "list" => Command::List,
         "drain" => Command::Drain { wait },
         other => return Err(format!("unknown command {other:?}")),
     };
-    Ok(Args { target, command })
+    Ok(Args { addr, command })
 }
 
 fn str_arr(items: &[String]) -> Value {
@@ -274,12 +201,12 @@ fn submit_experiment_backed_off(
     }
 }
 
-/// The single-server `submit` flow: submit the experiments, stream every
-/// job's result, and render the artifacts through the exact code path a
-/// direct `harness` run uses — server-fetched `<id>.txt` / `<id>.json`
-/// are byte-identical to a local run's.
+/// The `submit` flow: submit the experiments, stream every job's result,
+/// and render the artifacts through the exact code path a direct
+/// `harness` run uses — server-fetched `<id>.txt` / `<id>.json` are
+/// byte-identical to a local run's.
 #[allow(clippy::too_many_arguments)]
-fn cmd_submit_single(
+fn cmd_submit(
     addr: &str,
     manifest: &das_harness::manifest::Manifest,
     exps: &[String],
@@ -309,55 +236,9 @@ fn cmd_submit_single(
     let reports = collect_stream(&mut client, &jobs, |job, state| {
         eprintln!("{job}: {state}");
     })?;
-    render_reports(out_dir, manifest, &reports)
-}
-
-/// The fleet `submit` flow: shard-routed idempotent submission with
-/// busy-backoff, reconnect-and-resubmit, bounded job retries and
-/// optional hedging — then the same byte-identical rendering.
-#[allow(clippy::too_many_arguments)]
-fn cmd_submit_fleet(
-    source: AddrSource,
-    manifest: &das_harness::manifest::Manifest,
-    out_dir: &str,
-    ticket: &str,
-    seed: u64,
-    hedge_ms: Option<u64>,
-    job_retries: u32,
-    max_attempts: u32,
-) -> Result<(), String> {
-    let specs: Vec<JobSpec> = manifest
-        .experiments
-        .iter()
-        .flat_map(|e| e.jobs.iter().cloned())
-        .collect();
-    let cfg = FleetClientConfig {
-        backoff: backoff(seed, max_attempts),
-        hedge_after: hedge_ms.map(Duration::from_millis),
-        job_retries,
-        ..FleetClientConfig::default()
-    };
-    let mut fc = FleetClient::new(source, cfg)?;
-    eprintln!(
-        "submitting {} jobs across {} shards (ticket {ticket})",
-        specs.len(),
-        fc.shards()
-    );
-    let reports = fc.run_jobs(ticket, &specs)?;
-    if !fc.counters.is_empty() {
-        eprintln!("resilience: {}", fc.counters.summary());
-    }
-    render_reports(out_dir, manifest, &reports)
-}
-
-fn render_reports(
-    out_dir: &str,
-    manifest: &das_harness::manifest::Manifest,
-    reports: &[Value],
-) -> Result<(), String> {
     let out = PathBuf::from(out_dir);
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    render_experiment_outputs(&out, manifest, reports, false)?;
+    render_experiment_outputs(&out, manifest, &reports, false)?;
     println!(
         "fetched {} runs across {} experiments -> {}",
         reports.len(),
@@ -381,241 +262,8 @@ fn one_shot(addr: &str, req: Value) -> Result<Value, String> {
     Client::connect(addr)?.request(&req)
 }
 
-/// Sets `key` on an object, replacing an existing entry instead of
-/// appending a duplicate (what `Value::set` would do after a merge).
-fn put(v: Value, key: &str, val: impl Into<Value>) -> Value {
-    match v {
-        Value::Obj(mut pairs) => {
-            let val = val.into();
-            if let Some(slot) = pairs.iter_mut().find(|(k, _)| k == key) {
-                slot.1 = val;
-            } else {
-                pairs.push((key.to_string(), val));
-            }
-            Value::Obj(pairs)
-        }
-        other => other,
-    }
-}
-
-/// Total requests a worker has handled, summed across request kinds
-/// (the basis of the watch view's QPS estimate).
-fn total_requests(stats: &Value) -> u64 {
-    match stats.get("request_latency_us") {
-        Some(Value::Obj(kinds)) => kinds
-            .iter()
-            .filter_map(|(_, s)| s.get("count").and_then(Value::as_u64))
-            .sum(),
-        _ => 0,
-    }
-}
-
-/// Fleet-wide stats: per-worker stats merged by summing every numeric
-/// leaf, plus `workers` and `restarts` (the sum of worker generations —
-/// each restart bumps the incarnation's generation by one). Summed
-/// `uptime_ms` is meaningless, so it is replaced with the fleet maximum;
-/// `job_latency_ms` is recomputed *exactly* by merging the per-worker
-/// histogram buckets (percentiles do not sum); and a `per_worker` array
-/// keeps each shard's generation, uptime and load visible after the
-/// merge flattens them.
-fn fleet_stats_snapshot(fc: &mut FleetClient) -> Result<Value, String> {
-    let per_worker = fc.broadcast(&proto::request("stats"))?;
-    let restarts: u64 = per_worker
-        .iter()
-        .filter_map(|s| s.get("generation").and_then(Value::as_u64))
-        .sum();
-    let merged = per_worker
-        .iter()
-        .skip(1)
-        .fold(per_worker[0].clone(), |acc, s| merge_numeric(&acc, s));
-    let uptime = per_worker
-        .iter()
-        .filter_map(|s| s.get("uptime_ms").and_then(Value::as_u64))
-        .max()
-        .unwrap_or(0);
-    let mut fleet_wall = LatencyHistogram::new();
-    for s in &per_worker {
-        if let Some(h) = s
-            .get_path("job_latency_ms/buckets")
-            .and_then(LatencyHistogram::from_buckets_value)
-        {
-            fleet_wall.merge(&h);
-        }
-    }
-    let rows: Vec<Value> = per_worker
-        .iter()
-        .enumerate()
-        .map(|(shard, s)| {
-            let g = |k: &str| s.get(k).and_then(Value::as_u64).unwrap_or(0);
-            Value::obj()
-                .set("shard", shard as u64)
-                .set("generation", g("generation"))
-                .set("uptime_ms", g("uptime_ms"))
-                .set("pid", g("pid"))
-                .set(
-                    "running",
-                    s.get_path("jobs/running")
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0),
-                )
-                .set(
-                    "admitted",
-                    s.get_path("admission/admitted")
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0),
-                )
-                .set("requests", total_requests(s))
-        })
-        .collect();
-    // pid / generation sums are meaningless; replace or supersede them
-    // with fleet-level fields.
-    let merged = put(merged, "uptime_ms", uptime);
-    let merged = put(
-        merged,
-        "job_latency_ms",
-        Value::obj()
-            .set("summary", fleet_wall.summary_value())
-            .set("buckets", fleet_wall.buckets_value()),
-    );
-    Ok(merged
-        .set("workers", per_worker.len() as u64)
-        .set("restarts", restarts)
-        .set("per_worker", Value::Arr(rows)))
-}
-
-/// The refreshing `stats --watch` screen: fleet totals, job states,
-/// admission counters, exact job-latency percentiles, and one row per
-/// worker.
-fn render_stats_watch(stats: &Value, qps: f64) -> String {
-    let g = |p: &str| stats.get_path(p).and_then(Value::as_u64).unwrap_or(0);
-    let workers = g("workers").max(1);
-    let mut out = format!(
-        "fleet: {} worker(s), {} restart(s), uptime {:.1}s, {:.1} req/s\n",
-        workers,
-        g("restarts"),
-        g("uptime_ms") as f64 / 1e3,
-        qps,
-    );
-    out += &format!(
-        "jobs: queued {} running {} done {} failed {} cancelled {}\n",
-        g("jobs/queued"),
-        g("jobs/running"),
-        g("jobs/done"),
-        g("jobs/failed"),
-        g("jobs/cancelled"),
-    );
-    out += &format!(
-        "admission: admitted {} busy {} draining {} resubmitted {} hedged {} recovered {}\n",
-        g("admission/admitted"),
-        g("admission/rejected_busy"),
-        g("admission/rejected_draining"),
-        g("admission/resubmitted"),
-        g("admission/hedged"),
-        g("admission/recovered"),
-    );
-    out += &format!(
-        "job latency ms: n={} p50 {} p95 {} p99 {}\n",
-        g("job_latency_ms/summary/count"),
-        g("job_latency_ms/summary/p50"),
-        g("job_latency_ms/summary/p95"),
-        g("job_latency_ms/summary/p99"),
-    );
-    if let Some(rows) = stats.get("per_worker").and_then(Value::as_arr) {
-        out += "shard  gen  uptime_s  pid     running  admitted  requests\n";
-        for row in rows {
-            let r = |k: &str| row.get(k).and_then(Value::as_u64).unwrap_or(0);
-            out += &format!(
-                "{:<5}  {:<3}  {:<8.1}  {:<6}  {:<7}  {:<8}  {}\n",
-                r("shard"),
-                r("generation"),
-                r("uptime_ms") as f64 / 1e3,
-                r("pid"),
-                r("running"),
-                r("admitted"),
-                r("requests"),
-            );
-        }
-    }
-    out
-}
-
-/// `stats`: one-shot JSON, or a `--watch` loop that refreshes a compact
-/// fleet view and derives QPS from request-count deltas between samples.
-fn cmd_stats(
-    target: &Target,
-    watch: bool,
-    interval_ms: u64,
-    iterations: u64,
-) -> Result<(), String> {
-    let mut fleet = match target {
-        Target::Single(_) => None,
-        t => Some(FleetClient::new(t.source(), FleetClientConfig::default())?),
-    };
-    let mut snapshot = || -> Result<Value, String> {
-        match (&mut fleet, target) {
-            (Some(fc), _) => fleet_stats_snapshot(fc),
-            (None, Target::Single(addr)) => one_shot(addr, proto::request("stats")),
-            (None, _) => unreachable!("fleet client exists for non-single targets"),
-        }
-    };
-    if !watch {
-        println!("{}", snapshot()?.render());
-        return Ok(());
-    }
-    let mut prev: Option<(u64, Instant)> = None;
-    let mut shown = 0u64;
-    loop {
-        let stats = snapshot()?;
-        let now = Instant::now();
-        let requests = total_requests(&stats);
-        let qps = match prev {
-            Some((last, at)) => {
-                requests.saturating_sub(last) as f64 / (now - at).as_secs_f64().max(1e-9)
-            }
-            None => 0.0,
-        };
-        prev = Some((requests, now));
-        // Clear screen + home, top-style, so the view refreshes in place.
-        print!("\x1b[2J\x1b[H{}", render_stats_watch(&stats, qps));
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        shown += 1;
-        if iterations != 0 && shown >= iterations {
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_millis(interval_ms));
-    }
-}
-
-/// `metrics`: Prometheus exposition text from one server, or from every
-/// shard of a fleet (separated by shard-comment lines).
-fn cmd_metrics(target: &Target) -> Result<(), String> {
-    let responses = match target {
-        Target::Single(addr) => vec![one_shot(addr, proto::request("metrics"))?],
-        t => FleetClient::new(t.source(), FleetClientConfig::default())?
-            .broadcast(&proto::request("metrics"))?,
-    };
-    for (shard, resp) in responses.iter().enumerate() {
-        let body = resp
-            .get("body")
-            .and_then(Value::as_str)
-            .ok_or("metrics response carries no body")?;
-        if responses.len() > 1 {
-            println!("# shard {shard}");
-        }
-        print!("{body}");
-    }
-    Ok(())
-}
-
-fn single_addr(target: &Target, what: &str) -> Result<String, String> {
-    match target {
-        Target::Single(a) => Ok(a.clone()),
-        _ => Err(format!("{what} needs --addr (a single server)")),
-    }
-}
-
 fn run(args: Args) -> Result<(), String> {
+    let addr = args.addr.as_str();
     match &args.command {
         Command::Submit {
             exps,
@@ -623,10 +271,7 @@ fn run(args: Args) -> Result<(), String> {
             scale,
             only,
             out_dir,
-            ticket,
             seed,
-            hedge_ms,
-            job_retries,
             max_attempts,
         } => {
             // Build the manifest locally first: unknown experiment ids
@@ -636,64 +281,53 @@ fn run(args: Args) -> Result<(), String> {
             manifest
                 .validate()
                 .map_err(|e| format!("invalid run matrix: {e}"))?;
-            match &args.target {
-                Target::Single(addr) => cmd_submit_single(
-                    addr,
-                    &manifest,
-                    exps,
-                    *insts,
-                    *scale,
-                    only,
-                    out_dir,
-                    &backoff(*seed, *max_attempts),
-                ),
-                target => cmd_submit_fleet(
-                    target.source(),
-                    &manifest,
-                    out_dir,
-                    ticket.as_deref().unwrap_or("f0"),
-                    *seed,
-                    *hedge_ms,
-                    *job_retries,
-                    *max_attempts,
-                ),
-            }
+            cmd_submit(
+                addr,
+                &manifest,
+                exps,
+                *insts,
+                *scale,
+                only,
+                out_dir,
+                &backoff(*seed, *max_attempts),
+            )
         }
         Command::Status { job } => {
-            let addr = single_addr(&args.target, "status")?;
-            let resp = one_shot(&addr, proto::request("status").set("job", job.as_str()))?;
+            let resp = one_shot(addr, proto::request("status").set("job", job.as_str()))?;
             println!("{}", resp.render());
             Ok(())
         }
-        Command::Watch { job } => cmd_watch(&single_addr(&args.target, "watch")?, job),
+        Command::Watch { job } => cmd_watch(addr, job),
         Command::Cancel { job } => {
-            let addr = single_addr(&args.target, "cancel")?;
-            let resp = one_shot(&addr, proto::request("cancel").set("job", job.as_str()))?;
+            let resp = one_shot(addr, proto::request("cancel").set("job", job.as_str()))?;
             println!("{}", resp.render());
             Ok(())
         }
-        Command::Stats {
-            watch,
-            interval_ms,
-            iterations,
-        } => cmd_stats(&args.target, *watch, *interval_ms, *iterations),
-        Command::Metrics => cmd_metrics(&args.target),
+        Command::Stats => {
+            println!("{}", one_shot(addr, proto::request("stats"))?.render());
+            Ok(())
+        }
+        Command::Metrics => {
+            let resp = one_shot(addr, proto::request("metrics"))?;
+            let body = resp
+                .get("body")
+                .and_then(Value::as_str)
+                .ok_or("metrics response carries no body")?;
+            print!("{body}");
+            Ok(())
+        }
         Command::List => {
-            let addr = single_addr(&args.target, "list")?;
-            let resp = one_shot(&addr, proto::request("list"))?;
+            let resp = one_shot(addr, proto::request("list"))?;
             print!("{}", render_grouped_list(&resp));
             Ok(())
         }
         Command::Drain { wait } => {
-            let addrs = args.target.source().addrs()?;
-            for addr in addrs {
-                let mut client = Client::connect(&addr)?;
-                // Draining can outlive any default read timeout; block as
-                // long as the server needs.
-                let _ = client.set_read_timeout(None);
-                let resp = client.request(&proto::request("drain").set("wait", *wait))?;
-                println!("{}", resp.render());
-            }
+            let mut client = Client::connect(addr)?;
+            // Draining can outlive any default read timeout; block as
+            // long as the server needs.
+            let _ = client.set_read_timeout(None);
+            let resp = client.request(&proto::request("drain").set("wait", *wait))?;
+            println!("{}", resp.render());
             Ok(())
         }
     }
@@ -701,8 +335,8 @@ fn run(args: Args) -> Result<(), String> {
 
 /// The experiment family of a served job id (`<ticket>/<exp>/...`): the
 /// first path segment naming a catalog experiment decides, so ticket
-/// prefixes, retry (`r<k>/`) and hedge (`h/`) wrappers all group
-/// correctly. Ids with no catalog segment fall into `other`.
+/// prefixes and client-chosen (`as`) id prefixes group correctly. Ids
+/// with no catalog segment fall into `other`.
 fn job_family(id: &str) -> &str {
     id.split('/')
         .find(|seg| das_harness::catalog::by_id(seg).is_some())
@@ -804,7 +438,7 @@ mod tests {
             "results",
         ]))
         .unwrap();
-        assert_eq!(a.target, Target::Single("127.0.0.1:4750".into()));
+        assert_eq!(a.addr, "127.0.0.1:4750");
         assert_eq!(
             a.command,
             Command::Submit {
@@ -813,45 +447,35 @@ mod tests {
                 scale: 8,
                 only: vec!["mcf".into()],
                 out_dir: "results".into(),
-                ticket: None,
                 seed: 0,
-                hedge_ms: None,
-                job_retries: 3,
                 max_attempts: 8,
             }
         );
+        // The busy-backoff knobs: `--seed 0` is legal, attempts positive.
+        let a = parse_args(argv(&[
+            "submit",
+            "--addr",
+            "h:1",
+            "--exp",
+            "scale",
+            "--seed",
+            "0",
+            "--max-attempts",
+            "5",
+        ]))
+        .unwrap();
+        match a.command {
+            Command::Submit {
+                seed, max_attempts, ..
+            } => assert_eq!((seed, max_attempts), (0, 5)),
+            other => panic!("wrong command: {other:?}"),
+        }
         let a = parse_args(argv(&["status", "--addr", "h:1", "--job", "t1/x"])).unwrap();
         assert_eq!(a.command, Command::Status { job: "t1/x".into() });
         let a = parse_args(argv(&["drain", "--addr", "h:1", "--wait"])).unwrap();
         assert_eq!(a.command, Command::Drain { wait: true });
         let a = parse_args(argv(&["stats", "--addr", "h:1"])).unwrap();
-        assert_eq!(
-            a.command,
-            Command::Stats {
-                watch: false,
-                interval_ms: 1000,
-                iterations: 0,
-            }
-        );
-        let a = parse_args(argv(&[
-            "stats",
-            "--fleet-dir",
-            "fleet",
-            "--watch",
-            "--interval-ms",
-            "200",
-            "--iterations",
-            "3",
-        ]))
-        .unwrap();
-        assert_eq!(
-            a.command,
-            Command::Stats {
-                watch: true,
-                interval_ms: 200,
-                iterations: 3,
-            }
-        );
+        assert_eq!(a.command, Command::Stats);
         let a = parse_args(argv(&["metrics", "--addr", "h:1"])).unwrap();
         assert_eq!(a.command, Command::Metrics);
     }
@@ -859,7 +483,7 @@ mod tests {
     #[test]
     fn list_groups_jobs_by_experiment_family() {
         // A synthetic `list` response: ticket-prefixed jobs from three
-        // families, including a hedge-wrapped cross-arch job.
+        // families, including a cross-arch job under a client-chosen id.
         let jobs = vec![
             Value::obj()
                 .set("job", "t1/fig7a/mcf/das")
@@ -868,7 +492,7 @@ mod tests {
                 .set("job", "t1/cross_arch_rank/mcf/lisa")
                 .set("state", "running"),
             Value::obj()
-                .set("job", "h/t2/cross_arch_sweep/mcf/clr_d8")
+                .set("job", "mine/t2/cross_arch_sweep/mcf/clr_d8")
                 .set("state", "queued"),
             Value::obj()
                 .set("job", "t3/fault_sweep/das/clean")
@@ -897,7 +521,7 @@ mod tests {
         assert_eq!(policy_catalog.len(), 1, "{text}");
         assert!(policy_catalog[0].contains("policy_search_adapt"), "{text}");
         // Jobs section: grouped headers, members under their family, the
-        // hedge-wrapped id resolved by its catalog segment.
+        // client-chosen id resolved by its catalog segment.
         assert!(text.contains("jobs: 6"), "{text}");
         let fam_of_line = |needle: &str| {
             let mut fam = "";
@@ -915,7 +539,7 @@ mod tests {
         assert_eq!(fam_of_line("t1/fig7a/mcf/das"), "fig7");
         assert_eq!(fam_of_line("t1/cross_arch_rank/mcf/lisa"), "cross_arch");
         assert_eq!(
-            fam_of_line("h/t2/cross_arch_sweep/mcf/clr_d8"),
+            fam_of_line("mine/t2/cross_arch_sweep/mcf/clr_d8"),
             "cross_arch"
         );
         assert_eq!(fam_of_line("t3/fault_sweep/das/clean"), "fault_sweep");
@@ -929,60 +553,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_fleet_targets_and_resilience_flags() {
-        let a = parse_args(argv(&[
-            "submit",
-            "--addrs",
-            "h:1,h:2,h:3",
-            "--exp",
-            "scale",
-            "--ticket",
-            "ci1",
-            "--seed",
-            "0",
-            "--hedge-ms",
-            "150",
-            "--job-retries",
-            "2",
-            "--max-attempts",
-            "5",
-        ]))
-        .unwrap();
-        assert_eq!(
-            a.target,
-            Target::Addrs(vec!["h:1".into(), "h:2".into(), "h:3".into()])
-        );
-        match a.command {
-            Command::Submit {
-                ticket,
-                seed,
-                hedge_ms,
-                job_retries,
-                max_attempts,
-                ..
-            } => {
-                assert_eq!(ticket.as_deref(), Some("ci1"));
-                assert_eq!(seed, 0);
-                assert_eq!(hedge_ms, Some(150));
-                assert_eq!(job_retries, 2);
-                assert_eq!(max_attempts, 5);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        let a = parse_args(argv(&["stats", "--fleet-dir", "fleet"])).unwrap();
-        assert_eq!(a.target, Target::FleetDir("fleet".into()));
-    }
-
-    #[test]
     fn rejects_each_malformed_invocation() {
         for (args, needle) in [
             (vec![] as Vec<&str>, "missing command"),
             (vec!["frobnicate", "--addr", "h:1"], "unknown command"),
-            (vec!["stats"], "one of --addr"),
-            (
-                vec!["stats", "--addr", "h:1", "--fleet-dir", "d"],
-                "exactly one",
-            ),
+            (vec!["stats"], "--addr HOST:PORT is required"),
+            (vec!["stats", "--fleet-dir", "d"], "unknown argument"),
             (vec!["submit", "--addr", "h:1"], "--exp"),
             (
                 vec!["submit", "--addr", "h:1", "--exp", "a", "--insts", "x"],
@@ -1000,21 +576,23 @@ mod tests {
                 "unknown argument",
             ),
             (
-                vec!["stats", "--addr", "h:1", "--interval-ms", "0"],
+                vec![
+                    "submit",
+                    "--addr",
+                    "h:1",
+                    "--exp",
+                    "a",
+                    "--max-attempts",
+                    "0",
+                ],
                 "positive",
             ),
             (
-                vec!["stats", "--addr", "h:1", "--iterations", "x"],
-                "positive",
+                vec!["stats", "--addr", "h:1", "--watch"],
+                "unknown argument",
             ),
-            (vec!["list", "--addrs", "h:1,h:2"], "needs --addr"),
         ] {
-            // A case that parses fine must fail in run() instead (e.g.
-            // `list --addrs` rejecting a fleet target before connecting).
-            let err = match parse_args(argv(&args)) {
-                Err(e) => e,
-                Ok(a) => run(a).unwrap_err(),
-            };
+            let err = parse_args(argv(&args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
     }

@@ -36,24 +36,6 @@ impl Client {
         })
     }
 
-    /// Wraps an already-connected stream (e.g. one opened with
-    /// `connect_timeout` for heartbeats).
-    ///
-    /// # Errors
-    ///
-    /// Readable clone failures.
-    pub fn from_stream(stream: TcpStream) -> Result<Client, String> {
-        let _ = stream.set_nodelay(true);
-        let reader = stream
-            .try_clone()
-            .map_err(|e| format!("cannot clone connection: {e}"))?;
-        Ok(Client {
-            reader,
-            writer: stream,
-            max_frame: proto::DEFAULT_MAX_FRAME,
-        })
-    }
-
     /// Sets a read timeout for responses (`None` = block forever).
     ///
     /// # Errors

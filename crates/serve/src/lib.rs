@@ -15,13 +15,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod chaos;
 pub mod client;
-pub mod fleet;
-pub mod fleet_client;
 pub mod metrics_text;
 pub mod proto;
 pub mod retry;
 pub mod server;
-pub mod shard;
 pub mod state;

@@ -1,11 +1,11 @@
 //! Seeded-deterministic retry policy: capped exponential backoff with
 //! jitter, honoring server `retry_after_ms` hints.
 //!
-//! `dasctl` retries `busy` rejections and transport drops instead of
-//! treating them as hard errors. The delay schedule is *deterministic
+//! `dasctl submit` retries `busy` rejections instead of treating them as
+//! hard errors. The delay schedule is *deterministic
 //! under a fixed seed* — jitter comes from SplitMix64 over
 //! `(seed, attempt)`, not from wall-clock entropy — so tests can assert
-//! the exact schedule and chaos runs stay reproducible. Jitter is drawn
+//! the exact schedule and client runs stay reproducible. Jitter is drawn
 //! from the upper half of the exponential window (`[exp/2, exp]`,
 //! "equal jitter"), which decorrelates client herds without ever
 //! retrying earlier than half the nominal backoff. A server-provided

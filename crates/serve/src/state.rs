@@ -199,8 +199,6 @@ pub struct Metrics {
     /// Idempotent resubmissions answered from the registry (a client
     /// retried a job id that was already admitted).
     pub resubmitted: u64,
-    /// Submissions marked as hedged duplicates by the client.
-    pub hedged: u64,
     /// Orphaned jobs re-driven from the journal after a crash restart.
     pub recovered: u64,
     /// Frames that violated the codec (answered with `frame`/`parse`).
@@ -209,7 +207,7 @@ pub struct Metrics {
     /// JSON renders in a deterministic key order.
     latency: BTreeMap<String, LatencyHistogram>,
     /// Wall-clock execution time of completed jobs (milliseconds,
-    /// success and failure alike) — the fleet-level job-latency signal.
+    /// success and failure alike) — the service-level job-latency signal.
     job_wall: LatencyHistogram,
     /// Coherence counters aggregated per protocol label from finished
     /// coherent jobs' reports. BTreeMap for deterministic render; empty
@@ -264,9 +262,9 @@ impl Metrics {
     }
 
     /// The job wall-time distribution as `{summary, buckets}`. The raw
-    /// buckets ride along so a fleet aggregator can merge histograms
-    /// exactly (via `LatencyHistogram::from_buckets_value`) instead of
-    /// averaging percentiles.
+    /// buckets ride along so a consumer can merge histograms across
+    /// servers or scrapes exactly (via `LatencyHistogram::from_buckets_value`)
+    /// instead of averaging percentiles.
     pub fn job_latency_value(&self) -> Value {
         Value::obj()
             .set("summary", self.job_wall.summary_value())
@@ -564,7 +562,7 @@ mod tests {
         let v = m.job_latency_value();
         assert_eq!(v.get_path("summary/count").and_then(Value::as_u64), Some(4));
         // Reconstruction is exact at bucket granularity: re-projecting a
-        // rebuilt histogram is a fixed point (what fleet merging relies
+        // rebuilt histogram is a fixed point (what exact merging relies
         // on), even though raw values were quantized to bucket bounds.
         let rebuilt = LatencyHistogram::from_buckets_value(v.get("buckets").unwrap())
             .expect("buckets must reconstruct");

@@ -2,9 +2,10 @@
 //! TCP clients, no mocks. Covers the protocol's failure modes (malformed
 //! frames, version/kind violations, idle timeouts), the admission
 //! contract (deterministic structured `busy`, `draining`), the graceful
-//! drain + journal-audit story, and the headline determinism guarantee:
-//! artifacts fetched through the server are byte-identical to a direct
-//! harness run's.
+//! drain + journal-audit story, crash recovery from a resumed journal,
+//! the `stats`/`metrics` observability surfaces, and the headline
+//! determinism guarantee: artifacts fetched through the server are
+//! byte-identical to a direct harness run's.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -14,7 +15,7 @@ use std::time::Duration;
 use das_harness::cli::{
     build_catalog_manifest, execute_jobs, render_experiment_outputs, ExecOptions,
 };
-use das_harness::journal::load_service;
+use das_harness::journal::{load_service, ServiceJournal};
 use das_harness::manifest::{JobSpec, Overrides};
 use das_serve::client::{collect_stream, Client};
 use das_serve::proto::{self, code};
@@ -367,10 +368,29 @@ fn status_list_and_streaming_report_job_lifecycles() {
         Some(id.as_str())
     );
 
-    // Stats: queue depths, admission counters, per-kind latency.
+    // A client-chosen id (`as`) makes submission idempotent: resending
+    // it is answered from the registry instead of running twice.
+    let mine = proto::request("submit_job")
+        .set("job", spec("mine", 50_000).to_value())
+        .set("as", "mine/one");
+    let resp = c.request(&mine).unwrap();
+    assert_eq!(resp.get("duplicate").and_then(Value::as_bool), Some(false));
+    collect_stream(&mut c, &["mine/one".to_string()], |_, _| {}).unwrap();
+    let resp = c.request(&mine).unwrap();
+    assert_eq!(resp.get("duplicate").and_then(Value::as_bool), Some(true));
+    assert_eq!(resp.get("state").and_then(Value::as_str), Some("done"));
+
+    // Stats: queue depths, admission counters, per-kind latency, and the
+    // job wall-time distribution (summary plus raw buckets).
     let stats = c.request(&proto::request("stats")).unwrap();
-    assert_eq!(stats.get_path("jobs/done").and_then(Value::as_u64), Some(1));
+    assert_eq!(stats.get_path("jobs/done").and_then(Value::as_u64), Some(2));
     assert_eq!(stats.get("capacity").and_then(Value::as_u64), Some(8));
+    assert_eq!(
+        stats
+            .get_path("admission/resubmitted")
+            .and_then(Value::as_u64),
+        Some(1)
+    );
     assert!(
         stats
             .get_path("request_latency_us/submit_job/count")
@@ -378,7 +398,113 @@ fn status_list_and_streaming_report_job_lifecycles() {
             .unwrap()
             >= 1
     );
+    assert!(stats.get("uptime_ms").and_then(Value::as_u64).is_some());
+    assert_eq!(
+        stats
+            .get_path("job_latency_ms/summary/count")
+            .and_then(Value::as_u64),
+        Some(2),
+        "every executed job is timed"
+    );
+    assert!(
+        stats
+            .get_path("job_latency_ms/buckets")
+            .and_then(das_telemetry::hist::LatencyHistogram::from_buckets_value)
+            .is_some_and(|h| h.count() == 2),
+        "raw buckets reconstruct the histogram"
+    );
+
+    // The `metrics` method projects the same numbers as Prometheus
+    // exposition text.
+    let resp = c.request(&proto::request("metrics")).unwrap();
+    assert_eq!(
+        resp.get("content_type").and_then(Value::as_str),
+        Some("text/plain; version=0.0.4")
+    );
+    let body = resp.get("body").and_then(Value::as_str).unwrap();
+    for needle in [
+        "# TYPE das_uptime_ms gauge",
+        "das_jobs{state=\"done\"} 2",
+        "das_admission_total{kind=\"admitted\"} 2",
+        "das_job_latency_ms_count{scope=\"all\"} 2",
+    ] {
+        assert!(body.contains(needle), "missing {needle:?} in:\n{body}");
+    }
+    for line in body.lines().filter(|l| !l.starts_with('#')) {
+        let value = line.rsplit(' ').next().unwrap();
+        assert!(value.parse::<f64>().is_ok(), "bad exposition line {line:?}");
+    }
     drain_and_join(&addr, h);
+}
+
+#[test]
+fn resume_redrives_spec_carrying_orphans_and_fails_the_rest() {
+    let dir = tmp_dir("resume");
+    let path = dir.join(SERVE_JOURNAL_NAME);
+    let redrive = spec("redrive", 60_000);
+    // Craft the journal a crashed server leaves behind: a finished job, a
+    // spec-carrying orphan, a spec-less orphan, and a torn final record
+    // (killed mid-append).
+    {
+        let mut j = ServiceJournal::create(&path).unwrap();
+        j.admit_with_spec("t1/finished", &spec("finished", 50_000).to_value())
+            .unwrap();
+        j.terminal("done", "t1/finished", None).unwrap();
+        j.admit_with_spec("t2/redrive", &redrive.to_value())
+            .unwrap();
+        j.admit("t3/lost").unwrap();
+    }
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    f.write_all(b"{\"event\":\"admit\",\"job\":\"t4/torn")
+        .unwrap();
+    drop(f);
+
+    let mut cfg = config(&dir);
+    cfg.resume_journal = true;
+    let (addr, h) = start(cfg);
+    let mut c = Client::connect(&addr).unwrap();
+
+    // The spec-carrying orphan is re-driven to done with the exact bytes
+    // a fault-free direct run produces — and no fresh admit line.
+    let ids = vec!["t2/redrive".to_string()];
+    let reports = collect_stream(&mut c, &ids, |_, _| {}).unwrap();
+    let opts = ExecOptions {
+        threads: 1,
+        out_dir: &tmp_dir("resume-direct"),
+        progress: false,
+        trace_store: None,
+    };
+    let direct = execute_jobs(std::slice::from_ref(&redrive), &opts, None).unwrap();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].render(), direct[0].render());
+
+    // The spec-less orphan and the torn admit are gone from the registry:
+    // a client's status poll sees not_found and resubmits.
+    for id in ["t3/lost", "t4/torn", "t1/finished"] {
+        let err = c
+            .request(&proto::request("status").set("job", id))
+            .unwrap_err();
+        assert!(err.starts_with("not_found:"), "{id}: {err}");
+    }
+    let stats = c.request(&proto::request("stats")).unwrap();
+    assert_eq!(
+        stats
+            .get_path("admission/recovered")
+            .and_then(Value::as_u64),
+        Some(1)
+    );
+
+    // After drain the journal validates clean: the restart is recorded,
+    // the recovered job is done, the spec-less orphan is failed, and the
+    // torn record never happened.
+    drain_and_join(&addr, h);
+    let s = load_service(&path).unwrap();
+    assert_eq!(s.restarts, 1);
+    assert_eq!((s.admitted, s.done, s.failed), (3, 2, 1));
+    assert!(s.orphans.is_empty(), "{:?}", s.orphans);
 }
 
 #[test]

@@ -202,7 +202,7 @@ impl LatencyHistogram {
     }
 
     /// The non-empty buckets as a JSON array of `[bucket_low, count]`
-    /// pairs — the wire shape `das-serve` stats carry so a fleet client
+    /// pairs — the wire shape `das-serve` stats carry so a client
     /// can rebuild a *mergeable* histogram instead of trying to average
     /// percentiles (which is not a thing).
     pub fn buckets_value(&self) -> crate::json::Value {

@@ -14,8 +14,7 @@
 //!   viewable in Perfetto;
 //!
 //! plus [`json`], the minimal value builder/validator the exporters share,
-//! [`counters`], a deterministic string-keyed counter map, and one
-//! deliberate exception to the simulated-clock rule: [`stage`], a sampling
+//! and one deliberate exception to the simulated-clock rule: [`stage`], a sampling
 //! *wall-clock* profiler of the simulator's own event-loop stages. Stage
 //! timings measure the host, not the model, so they are non-reproducible
 //! by design and are kept out of every deterministic report path (see the
@@ -29,7 +28,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod counters;
 pub mod hist;
 pub mod json;
 pub mod series;
@@ -38,7 +36,6 @@ pub mod trace;
 
 use std::collections::HashMap;
 
-pub use counters::Counters;
 pub use hist::LatencyHistogram;
 pub use series::{EpochCounters, EpochSample, EpochSeries};
 pub use stage::{Stage, StageProfiler, StageProfilerConfig, StageReport};

@@ -8,7 +8,7 @@
 //! It therefore lives outside the deterministic report path: stage data
 //! never enters `RunMetrics`, the telemetry report or any journalled
 //! artifact — it is only surfaced by explicitly perf-oriented consumers
-//! (`harness --bench`).
+//! (the pinned benchmark in `perfbench/`).
 //!
 //! The overhead contract mirrors [`crate::Telemetry`]: constructed
 //! [`SinkMode::Off`] (the default) every probe is a single-branch no-op

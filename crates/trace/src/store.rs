@@ -10,7 +10,8 @@
 //!
 //! ## Cross-process materialize-once locking
 //!
-//! When several *processes* share one store (a `das-fleet` of workers),
+//! When several *processes* share one store (say, a `harness` run and a
+//! `das-serve` server pointed at the same `--trace-store` directory),
 //! each key is additionally guarded by an on-disk `<key>.lock` file
 //! created with `O_EXCL` and carrying the holder's pid and a wall-clock
 //! stamp. A process that loses the race waits for the lock to clear (or
