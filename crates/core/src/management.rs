@@ -211,6 +211,21 @@ struct PolicyRuntime {
     stats: PolicyStats,
 }
 
+impl PolicyRuntime {
+    /// A freshly installed policy whose first epoch starts at `now`.
+    fn new(policy: Box<dyn MigrationPolicy>, costs: PolicyCosts, now: ManagementStats) -> Self {
+        PolicyRuntime {
+            kind: policy.kind(),
+            policy,
+            costs,
+            epoch_fill: 0,
+            epoch_index: 0,
+            last: now,
+            stats: PolicyStats::default(),
+        }
+    }
+}
+
 /// The §5 management mechanism. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct DasManager {
@@ -225,13 +240,17 @@ pub struct DasManager {
     /// Groups with a swap in flight (no second promotion may start).
     busy_groups: HashSet<GroupId>,
     stats: ManagementStats,
-    /// Online migration policy; `None` (the default) is the paper's
-    /// fixed path, byte-identical to the pre-policy code.
-    policy: Option<PolicyRuntime>,
+    /// Online migration policy deciding every promotion; `PaperFixed`
+    /// until [`DasManager::install_policy`] replaces it.
+    policy: PolicyRuntime,
 }
 
 impl DasManager {
-    /// Creates the manager for a system of `geometry` with bank `layout`.
+    /// Creates the manager for a system of `geometry` with bank `layout`,
+    /// deciding promotions with the paper's `PaperFixed` rule. That rule
+    /// reads no costs, so it starts with zero ones; callers that know the
+    /// backend's economics reinstall it through
+    /// [`DasManager::install_policy`].
     ///
     /// # Panics
     ///
@@ -262,33 +281,27 @@ impl DasManager {
             filter: PromotionFilter::new(cfg.promotion_threshold, cfg.filter_counters),
             busy_groups: HashSet::new(),
             stats: ManagementStats::default(),
-            policy: None,
+            policy: PolicyRuntime::new(
+                PolicyKind::PaperFixed.build(),
+                PolicyCosts {
+                    benefit_ns: 0.0,
+                    swap_cost_ns: 0.0,
+                },
+                ManagementStats::default(),
+            ),
         }
     }
 
     /// Installs an online migration policy with the backend's promotion
-    /// economics. Without this call the manager runs the paper's fixed
-    /// promote-at-threshold path, byte-identical to the pre-policy code;
-    /// `PaperFixed` installed here makes the same decisions through the
-    /// policy trait (locked by `crates/sim/tests/policy_identity.rs`).
+    /// economics, replacing the current one and its tallies.
     pub fn install_policy(&mut self, policy: Box<dyn MigrationPolicy>, costs: PolicyCosts) {
-        self.policy = Some(PolicyRuntime {
-            kind: policy.kind(),
-            policy,
-            costs,
-            epoch_fill: 0,
-            epoch_index: 0,
-            last: self.stats,
-            stats: PolicyStats::default(),
-        });
+        self.policy = PolicyRuntime::new(policy, costs, self.stats);
     }
 
     /// The installed policy's kind, action tallies and the threshold it
-    /// has steered the filter to; `None` when no policy is installed.
-    pub fn policy_stats(&self) -> Option<(PolicyKind, PolicyStats, u32)> {
-        self.policy
-            .as_ref()
-            .map(|rt| (rt.kind, rt.stats, self.filter.threshold()))
+    /// has steered the filter to.
+    pub fn policy_stats(&self) -> (PolicyKind, PolicyStats, u32) {
+        (self.policy.kind, self.policy.stats, self.filter.threshold())
     }
 
     /// The configuration in force.
@@ -356,7 +369,7 @@ impl DasManager {
 
     /// [`on_data_access`] with the row's coherence sharing-induced access
     /// count, so cost-aware policies can weight sharing-hot rows. The
-    /// count is advisory and ignored on the policy-free default path.
+    /// count is advisory; `PaperFixed` ignores it.
     ///
     /// [`on_data_access`]: DasManager::on_data_access
     pub fn on_data_access_shared(
@@ -386,12 +399,7 @@ impl DasManager {
         }
         let row_id = self.geometry.global_row_id(bank, logical_row);
         let group_busy = self.busy_groups.contains(&gid);
-        let grant = if self.policy.is_some() {
-            self.policy_decide(row_id, shared_count, group_busy)
-        } else {
-            self.filter.observe(row_id)
-        };
-        if !grant {
+        if !self.policy_decide(row_id, shared_count, group_busy) {
             return None;
         }
         if group_busy {
@@ -422,7 +430,7 @@ impl DasManager {
     /// policies the always-counted variant) and the policy the deciding.
     fn policy_decide(&mut self, row_id: GlobalRowId, shared_count: u32, group_busy: bool) -> bool {
         let threshold = self.filter.threshold();
-        let rt = self.policy.as_mut().expect("caller checked");
+        let rt = &mut self.policy;
         let count = if rt.kind == PolicyKind::PaperFixed {
             self.filter.note(row_id)
         } else {
@@ -446,33 +454,27 @@ impl DasManager {
     /// Counts one access toward the policy epoch and, at the boundary,
     /// delivers the epoch's stat deltas to the policy.
     fn policy_epoch_tick(&mut self) {
-        let threshold = self.filter.threshold();
+        let rt = &mut self.policy;
+        rt.epoch_fill += 1;
+        if rt.epoch_fill < POLICY_EPOCH_ACCESSES {
+            return;
+        }
+        rt.epoch_fill = 0;
         let current = self.stats;
-        let actions = {
-            let rt = match self.policy.as_mut() {
-                Some(rt) => rt,
-                None => return,
-            };
-            rt.epoch_fill += 1;
-            if rt.epoch_fill < POLICY_EPOCH_ACCESSES {
-                return;
-            }
-            rt.epoch_fill = 0;
-            let fast = current.fast_hits - rt.last.fast_hits;
-            let slow = current.slow_hits - rt.last.slow_hits;
-            let event = PolicyEvent::Epoch(EpochStats {
-                epoch: rt.epoch_index,
-                accesses: fast + slow,
-                fast_hits: fast,
-                slow_hits: slow,
-                promotions: current.promotions - rt.last.promotions,
-                threshold,
-            });
-            rt.epoch_index += 1;
-            rt.last = current;
-            rt.stats.epochs += 1;
-            rt.policy.observe(&event)
-        };
+        let fast = current.fast_hits - rt.last.fast_hits;
+        let slow = current.slow_hits - rt.last.slow_hits;
+        let event = PolicyEvent::Epoch(EpochStats {
+            epoch: rt.epoch_index,
+            accesses: fast + slow,
+            fast_hits: fast,
+            slow_hits: slow,
+            promotions: current.promotions - rt.last.promotions,
+            threshold: self.filter.threshold(),
+        });
+        rt.epoch_index += 1;
+        rt.last = current;
+        rt.stats.epochs += 1;
+        let actions = rt.policy.observe(&event);
         self.apply_policy_actions(&actions);
     }
 
@@ -480,14 +482,14 @@ impl DasManager {
     /// (clamped by the filter). `Promote`/`Demote` are tallied here and
     /// acted on (or held as advisory pressure) by the caller.
     fn apply_policy_actions(&mut self, actions: &[PolicyAction]) {
+        let stats = &mut self.policy.stats;
         for action in actions {
-            let rt = self.policy.as_mut().expect("caller checked");
             match action {
-                PolicyAction::Promote => rt.stats.promotes += 1,
-                PolicyAction::Demote => rt.stats.demotes += 1,
-                PolicyAction::Hold => rt.stats.holds += 1,
+                PolicyAction::Promote => stats.promotes += 1,
+                PolicyAction::Demote => stats.demotes += 1,
+                PolicyAction::Hold => stats.holds += 1,
                 PolicyAction::AdjustThreshold(delta) => {
-                    rt.stats.threshold_adjusts += 1;
+                    stats.threshold_adjusts += 1;
                     let next = self.filter.threshold() as i64 + *delta as i64;
                     self.filter.set_threshold(next);
                 }
@@ -908,28 +910,33 @@ mod tests {
     }
 
     #[test]
-    fn paper_fixed_policy_decides_exactly_like_the_policy_free_path() {
-        let stream: Vec<u32> = (0..200).map(|i| (i * 37) % 512).collect();
+    fn paper_fixed_policy_decides_exactly_like_the_paper_filter() {
+        // The reference is the paper's bare filter, fed the same
+        // slow-level accesses: every grant it makes must surface as a
+        // swap (the stream never revisits a group with a swap in flight,
+        // because each swap commits at once).
+        let stream: Vec<u32> = (0..800).map(|i| (i * 37) % 160).collect();
+        let g = geometry();
         for threshold in [1, 4] {
             let cfg = ManagementConfig {
                 promotion_threshold: threshold,
                 tcache_bytes: 2 << 10,
                 ..ManagementConfig::paper_default()
             };
-            let mut bare = manager(cfg);
-            let mut ruled = manager(cfg);
-            ruled.install_policy(das_policy::PolicyKind::PaperFixed.build(), costs());
+            let mut m = manager(cfg);
+            let mut filter = PromotionFilter::new(threshold, cfg.filter_counters);
             for (i, &row) in stream.iter().enumerate() {
-                let a = bare.on_data_access(bank0(), row, i as u64);
-                let b = ruled.on_data_access(bank0(), row, i as u64);
-                assert_eq!(a, b, "threshold {threshold}, access {i}");
-                if let (Some(a), Some(b)) = (a, b) {
-                    bare.commit_swap(&a, i as u64);
-                    ruled.commit_swap(&b, i as u64);
+                let (_, in_fast) = m.peek(bank0(), row);
+                let grant = !in_fast && filter.observe(g.global_row_id(bank0(), row));
+                let swap = m.on_data_access(bank0(), row, i as u64);
+                assert_eq!(grant, swap.is_some(), "threshold {threshold}, access {i}");
+                if let Some(s) = swap {
+                    m.commit_swap(&s, i as u64);
+                    filter.forget(g.global_row_id(bank0(), s.promotee));
                 }
             }
-            assert_eq!(bare.stats(), ruled.stats());
-            assert_eq!(bare.filter_stats(), ruled.filter_stats());
+            assert_eq!(m.filter_stats(), filter.stats());
+            assert!(m.stats().promotions > 0);
         }
     }
 
@@ -942,7 +949,7 @@ mod tests {
         // controller must still defer (no second swap may start).
         assert!(m.on_data_access(bank0(), 18, 2).is_none());
         assert_eq!(m.stats().deferred_busy, 1);
-        let (_, pstats, _) = m.policy_stats().unwrap();
+        let (_, pstats, _) = m.policy_stats();
         assert_eq!(pstats.promotes, 2, "both grants are tallied");
         m.commit_swap(&r1, 2);
         assert!(m.on_data_access(bank0(), 18, 3).is_some());
@@ -991,7 +998,7 @@ mod tests {
         }
         let req = m.on_data_access(bank0(), 17, 6).expect("7th hit promotes");
         assert_eq!(req.promotee, 17);
-        let (_, pstats, _) = m.policy_stats().unwrap();
+        let (_, pstats, _) = m.policy_stats();
         assert_eq!((pstats.promotes, pstats.holds), (1, 6));
     }
 
@@ -1019,7 +1026,7 @@ mod tests {
         for i in 0..POLICY_EPOCH_ACCESSES {
             assert!(m.on_data_access(bank0(), 0, i).is_none());
         }
-        let (kind, pstats, threshold) = m.policy_stats().unwrap();
+        let (kind, pstats, threshold) = m.policy_stats();
         assert_eq!(kind, das_policy::PolicyKind::Feedback);
         assert_eq!(pstats.epochs, 1);
         assert_eq!(pstats.threshold_adjusts, 1);

@@ -72,7 +72,7 @@ impl ChannelDevice {
         refresh_enabled: bool,
         salp: bool,
     ) -> Self {
-        let cadences = timing.refresh_cadences();
+        let cadence = timing.slow.refresh_cadence();
         let buffers = if salp { layout.subarrays().len() } else { 1 };
         ChannelDevice {
             channel_id,
@@ -82,9 +82,7 @@ impl ChannelDevice {
             banks: (0..ranks as usize * banks_per_rank as usize)
                 .map(|_| Bank::with_subarrays(buffers))
                 .collect(),
-            ranks: (0..ranks)
-                .map(|_| RankTracker::with_cadences(&cadences))
-                .collect(),
+            ranks: (0..ranks).map(|_| RankTracker::new(cadence)).collect(),
             bus: DataBus::new(),
             refresh_enabled,
             salp,

@@ -163,12 +163,9 @@ impl TimingParams {
     }
 }
 
-/// One refresh schedule: a REF command every `trefi` costing `trfc` of
-/// rank-blocking time.
-///
-/// A homogeneous device runs one cadence per rank; asymmetric-retention
-/// devices (short-bitline cells can trade retention for latency) may run
-/// the fast and slow levels on distinct cadences.
+/// A rank's refresh schedule: a REF command every `trefi` costing `trfc`
+/// of rank-blocking time. Every device refreshes on its slow level's
+/// cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshCadence {
     /// Average refresh interval.
@@ -320,20 +317,6 @@ impl TimingSet {
     pub fn supports_migration(&self) -> bool {
         self.swap != Tick::MAX
     }
-
-    /// The distinct refresh cadences of the two latency levels. Equal
-    /// cadences (every stock device today) collapse into one schedule, so a
-    /// homogeneous-refresh rank is driven exactly as before the per-level
-    /// hook existed.
-    pub fn refresh_cadences(&self) -> Vec<RefreshCadence> {
-        let slow = self.slow.refresh_cadence();
-        let fast = self.fast.refresh_cadence();
-        if fast == slow {
-            vec![slow]
-        } else {
-            vec![slow, fast]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -428,24 +411,21 @@ mod tests {
     }
 
     #[test]
-    fn equal_refresh_cadences_collapse_to_one_schedule() {
+    fn stock_sets_share_one_refresh_cadence() {
+        // A rank refreshes on the slow level's cadence alone; that loses
+        // nothing only while both levels carry the same tREFI/tRFC.
         for set in [
             TimingSet::homogeneous_slow(),
+            TimingSet::homogeneous_fast(),
             TimingSet::asymmetric(),
+            TimingSet::asymmetric_free_migration(),
+            TimingSet::charm(),
             TimingSet::tl_dram(),
             TimingSet::clr_dram(),
             TimingSet::lisa(),
         ] {
-            let c = set.refresh_cadences();
-            assert_eq!(c.len(), 1, "stock devices refresh homogeneously");
-            assert_eq!(c[0], set.slow.refresh_cadence());
+            assert_eq!(set.fast.refresh_cadence(), set.slow.refresh_cadence());
         }
-        let mut asym = TimingSet::asymmetric();
-        asym.fast.trefi = Tick::from_ns(3900.0);
-        let c = asym.refresh_cadences();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c[0], asym.slow.refresh_cadence());
-        assert_eq!(c[1], asym.fast.refresh_cadence());
     }
 
     #[test]

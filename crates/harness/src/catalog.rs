@@ -2415,9 +2415,10 @@ fn policy_label(key: &str) -> &'static str {
 }
 
 /// The override for a policy column. `paper_fixed` deliberately omits the
-/// token: absence *is* the paper's fixed-threshold behaviour (locked by
-/// `das-sim/tests/policy_identity.rs`), and it keeps those journal lines
-/// strip-comparable to the policy-free goldens in CI.
+/// token: without one the manager installs `PaperFixed` anyway (locked by
+/// `das-sim/tests/policy_identity.rs`) and the report carries no policy
+/// block, which keeps those journal lines strip-comparable to the
+/// default-run goldens in CI.
 fn policy_ov(key: &str) -> Overrides {
     if key == "paper_fixed" {
         Overrides::default()
@@ -2796,9 +2797,9 @@ mod tests {
             rank.len(),
             spec::names().len() * (1 + POLICY_BACKENDS.len() * POLICY_KEYS.len())
         );
-        // paper_fixed columns omit the override (absence == the paper's
-        // fixed-threshold path, so CI can strip-compare their journal
-        // lines against the policy-free goldens); all others carry it.
+        // paper_fixed columns omit the override (absence installs the
+        // same PaperFixed, so CI can strip-compare their journal lines
+        // against the default-run goldens); all others carry it.
         for j in &rank {
             if j.id.ends_with("_paper_fixed") || j.id.ends_with("/std") {
                 assert_eq!(j.ov.policy, None, "{}", j.id);

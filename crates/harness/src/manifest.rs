@@ -138,21 +138,28 @@ pub struct Overrides {
 /// Default fault-plan seed (the fault-sweep bench's historic constant).
 pub const DEFAULT_FAULT_SEED: u64 = 0xda5_fa17;
 
+/// Every design with its stable manifest key, in presentation order.
+pub const DESIGNS: [(&str, Design); 11] = [
+    ("std", Design::Standard),
+    ("sas", Design::SasDram),
+    ("charm", Design::Charm),
+    ("das", Design::DasDram),
+    ("das_fm", Design::DasDramFm),
+    ("fs", Design::FsDram),
+    ("das_incl", Design::DasInclusive),
+    ("tl", Design::TlDram),
+    ("clr", Design::ClrDram),
+    ("lisa", Design::Lisa),
+    ("salp", Design::Salp),
+];
+
 /// The stable manifest key of a design.
 pub fn design_key(d: Design) -> &'static str {
-    match d {
-        Design::Standard => "std",
-        Design::SasDram => "sas",
-        Design::Charm => "charm",
-        Design::DasDram => "das",
-        Design::DasDramFm => "das_fm",
-        Design::FsDram => "fs",
-        Design::DasInclusive => "das_incl",
-        Design::TlDram => "tl",
-        Design::ClrDram => "clr",
-        Design::Lisa => "lisa",
-        Design::Salp => "salp",
-    }
+    DESIGNS
+        .iter()
+        .find(|(_, x)| *x == d)
+        .map(|(k, _)| *k)
+        .expect("every design has a key")
 }
 
 /// Parses a design key back to the [`Design`].
@@ -161,20 +168,11 @@ pub fn design_key(d: Design) -> &'static str {
 ///
 /// Returns a message naming the unknown key.
 pub fn parse_design(key: &str) -> Result<Design, String> {
-    Ok(match key {
-        "std" => Design::Standard,
-        "sas" => Design::SasDram,
-        "charm" => Design::Charm,
-        "das" => Design::DasDram,
-        "das_fm" => Design::DasDramFm,
-        "fs" => Design::FsDram,
-        "das_incl" => Design::DasInclusive,
-        "tl" => Design::TlDram,
-        "clr" => Design::ClrDram,
-        "lisa" => Design::Lisa,
-        "salp" => Design::Salp,
-        other => return Err(format!("unknown design key {other:?}")),
-    })
+    DESIGNS
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, d)| *d)
+        .ok_or_else(|| format!("unknown design key {key:?}"))
 }
 
 /// Resolves a workload token into the (full-scale) workload set:
@@ -732,20 +730,9 @@ mod tests {
 
     #[test]
     fn design_keys_round_trip() {
-        for d in [
-            Design::Standard,
-            Design::SasDram,
-            Design::Charm,
-            Design::DasDram,
-            Design::DasDramFm,
-            Design::FsDram,
-            Design::DasInclusive,
-            Design::TlDram,
-            Design::ClrDram,
-            Design::Lisa,
-            Design::Salp,
-        ] {
-            assert_eq!(parse_design(design_key(d)).unwrap(), d);
+        for (key, d) in DESIGNS {
+            assert_eq!(design_key(d), key);
+            assert_eq!(parse_design(key).unwrap(), d);
         }
         assert!(parse_design("warp").is_err());
         assert!(resolve_workload("mix:M99").is_err());

@@ -3,7 +3,7 @@
 //! This is the only place where manifest data meets the simulator: the job
 //! is materialised, the profiling pre-pass is fetched from the shared
 //! memo (computed at most once per distinct key), the run executes —
-//! instrumented when the job asks for telemetry — and the report
+//! with telemetry when the job asks for it — and the report
 //! [`Value`] that will be journalled (and that every renderer consumes)
 //! is assembled. A job with a `trace_path` override also exports its
 //! Chrome trace-event document as an execution-time side effect, so a
@@ -23,10 +23,7 @@ use std::path::Path;
 
 use das_dram::geometry::GlobalRowId;
 use das_sim::config::{Design, SystemConfig};
-use das_sim::experiments::{
-    run_one_coherent, run_one_coherent_instrumented, run_one_instrumented_with_profile,
-    run_one_with_profile,
-};
+use das_sim::experiments::{run_one_coherent_instrumented, run_one_instrumented_with_profile};
 use das_sim::report::run_report;
 use das_sim::stats::RunMetrics;
 use das_sim::{SimError, System, TraceSource};
@@ -51,7 +48,6 @@ fn run_stored(
     workloads: &[WorkloadConfig],
     profile: Option<&std::collections::HashMap<GlobalRowId, u64>>,
     store: &TraceStore,
-    instrumented: bool,
 ) -> Result<(Result<RunMetrics, SimError>, Option<TelemetryReport>), String> {
     let scaled: Vec<WorkloadConfig> = workloads
         .iter()
@@ -72,12 +68,8 @@ fn run_stored(
         statuses.push((w.name.clone(), reader.status()));
         sources.push(TraceSource::streaming(reader));
     }
-    let sys = System::with_sources(cfg.clone(), design, &scaled, sources, profile);
-    let out = if instrumented {
-        sys.run_instrumented()
-    } else {
-        (sys.run(), None)
-    };
+    let out =
+        System::with_sources(cfg.clone(), design, &scaled, sources, profile).run_instrumented();
     for (name, status) in &statuses {
         if let Some(e) = status.error() {
             return Err(format!(
@@ -109,26 +101,17 @@ pub fn execute(
         .needs_profile()
         .then(|| profiles.get_or_compute(&profile_key(job), &cfg, &workloads));
     let profile = profile.as_deref();
-    let instrumented = job.ov.telemetry_epoch.is_some();
+    // Every run takes the instrumented call; its telemetry is `None`
+    // unless the job sets `telemetry_epoch`.
     let (res, tel) = if let Some((spec, protocol)) = job.coherent_spec()? {
         // Coherent runs synthesize their shared-footprint streams
         // in-process (deterministic by construction), so the trace store
         // is bypassed.
-        if instrumented {
-            run_one_coherent_instrumented(&cfg, design, &spec, protocol)
-        } else {
-            (run_one_coherent(&cfg, design, &spec, protocol), None)
-        }
+        run_one_coherent_instrumented(&cfg, design, &spec, protocol)
     } else {
         match store {
-            Some(s) => run_stored(job, &cfg, design, &workloads, profile, s, instrumented)?,
-            None if instrumented => {
-                run_one_instrumented_with_profile(&cfg, design, &workloads, profile)
-            }
-            None => (
-                run_one_with_profile(&cfg, design, &workloads, profile),
-                None,
-            ),
+            Some(s) => run_stored(job, &cfg, design, &workloads, profile, s)?,
+            None => run_one_instrumented_with_profile(&cfg, design, &workloads, profile),
         }
     };
     let m = res.map_err(|e| {

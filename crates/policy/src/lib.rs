@@ -13,7 +13,7 @@
 //! Five implementations ship here:
 //!
 //! - [`PaperFixed`] — the paper's promote-at-threshold rule, bit-for-bit
-//!   (the simulator's default path is locked byte-identical to it).
+//!   (the simulator installs it when no other policy is asked for).
 //! - [`Hysteresis`] — raises the promotion bar by a fixed margin to damp
 //!   promotion ping-pong, and asks for demotions when the fast level
 //!   goes cold.
@@ -263,9 +263,9 @@ impl Clone for Box<dyn MigrationPolicy> {
 // ---------------------------------------------------------------------------
 
 /// The source paper's rule: promote exactly when the filter count
-/// reaches the threshold. Epochs are ignored. This is the behaviour the
-/// simulator's policy-free default path implements, and
-/// `crates/sim/tests/policy_identity.rs` locks the two byte-identical.
+/// reaches the threshold. Epochs are ignored. The simulator installs it
+/// by default, and `crates/sim/tests/policy_identity.rs` locks a default
+/// run byte-identical to one that asks for it explicitly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PaperFixed;
 

@@ -8,7 +8,9 @@
 //! while leaving all *latencies* untouched — the capacity ratios that drive
 //! the paper's results (footprint : fast level : LLC) are preserved.
 
-use das_backends::{backend, BackendKind, DramBackend, FastLevelManagement};
+use das_backends::{
+    ClrDram, Das, Ddr3Baseline, DramBackend, FastLevelManagement, Lisa, Salp, TlDram,
+};
 use das_cache::hierarchy::HierarchyConfig;
 use das_core::management::ManagementConfig;
 use das_core::replacement::ReplacementPolicy;
@@ -79,24 +81,19 @@ impl Design {
         ]
     }
 
-    /// The `das-backends` kind this design corresponds to, if any. The
+    /// The backend implementation behind this design, if it has one. The
     /// paper's intermediate probes (SAS/CHARM/FM/FS/inclusive-DAS) are not
     /// standalone architectures and keep their bespoke timing paths.
-    pub fn backend_kind(self) -> Option<BackendKind> {
-        match self {
-            Design::Standard => Some(BackendKind::Ddr3Baseline),
-            Design::DasDram => Some(BackendKind::Das),
-            Design::TlDram => Some(BackendKind::TlDram),
-            Design::ClrDram => Some(BackendKind::ClrDram),
-            Design::Lisa => Some(BackendKind::Lisa),
-            Design::Salp => Some(BackendKind::Salp),
-            _ => None,
-        }
-    }
-
-    /// The backend implementation behind this design, if it has one.
     pub fn backend(self) -> Option<&'static dyn DramBackend> {
-        self.backend_kind().map(backend)
+        Some(match self {
+            Design::Standard => &Ddr3Baseline,
+            Design::DasDram => &Das,
+            Design::TlDram => &TlDram,
+            Design::ClrDram => &ClrDram,
+            Design::Lisa => &Lisa,
+            Design::Salp => &Salp,
+            _ => return None,
+        })
     }
 
     /// Display label matching the paper's legends.
@@ -117,18 +114,12 @@ impl Design {
     }
 
     /// The device timing set for this design. Backend designs take their
-    /// latency classes and copy costs from the `das-backends` registry; the
+    /// latency classes and copy costs from [`Design::backend`]; the
     /// paper's probe designs keep their bespoke sets.
     pub fn timing(self) -> das_dram::timing::TimingSet {
         use das_dram::timing::TimingSet;
         if let Some(b) = self.backend() {
-            // The per-level refresh hook is applied here so a backend whose
-            // fast level refreshes on its own cadence reaches the channel's
-            // rank schedules; the default derives from `timing()` itself,
-            // leaving stock backends bit-identical.
-            let mut t = b.timing();
-            b.refresh().apply(&mut t);
-            return t;
+            return b.timing();
         }
         match self {
             Design::SasDram => TimingSet::asymmetric(),
@@ -281,10 +272,10 @@ pub struct SystemConfig {
     /// the event loop stalled ([`crate::system::SimError::Stalled`]).
     pub watchdog_same_tick_wakes: u32,
     /// Online migration policy installed into the exclusive-cache manager
-    /// (see `das-policy`). `None` — the default — runs the paper's fixed
-    /// promote-at-threshold path, byte-identical to a build without the
-    /// policy layer; `Some(PaperFixed)` makes the same decisions through
-    /// the policy trait (locked by `tests/policy_identity.rs`). Only
+    /// (see `das-policy`). `None` — the default — installs `PaperFixed`,
+    /// the paper's promote-at-threshold rule; either way the manager
+    /// decides through the policy trait. The field also controls the run
+    /// report: only `Some` adds the `policy` accounting block. Only
     /// meaningful for designs with dynamic exclusive management.
     pub policy: Option<das_policy::PolicyKind>,
 }
@@ -363,14 +354,6 @@ impl SystemConfig {
             self.fast_subarray_rows,
             self.slow_subarray_rows,
         )
-    }
-
-    /// A homogeneous (all one kind) layout for Standard/FS designs, built
-    /// as "all slow" — the timing set decides the actual speed.
-    pub fn homogeneous_layout(&self) -> BankLayout {
-        // The same layout machinery; a homogeneous TimingSet makes fast ==
-        // slow, so the nominal classification is inert.
-        self.bank_layout()
     }
 
     /// Instructions after which measurement starts.
@@ -538,7 +521,7 @@ mod tests {
             Design::FsDram,
             Design::DasInclusive,
         ] {
-            assert!(d.backend_kind().is_none());
+            assert!(d.backend().is_none());
         }
         // Management classification.
         assert!(Design::Lisa.is_asymmetric() && Design::Lisa.is_dynamic());

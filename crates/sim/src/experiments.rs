@@ -1,5 +1,5 @@
-//! Experiment runners: profiling pre-pass, single runs, design suites and
-//! the improvement metric used across all figures.
+//! Experiment runners: profiling pre-pass, single runs and the
+//! improvement metric used across all figures.
 
 use std::collections::HashMap;
 
@@ -69,6 +69,32 @@ pub fn profile_row_counts(
     counts
 }
 
+/// Builds the system for one run of `design` over `workloads` (given at
+/// full scale; footprints are scaled by `cfg.scale`). A static design
+/// uses `profile` when given and otherwise computes its profiling
+/// pre-pass in-line; other designs ignore `profile`.
+fn build_system(
+    cfg: &SystemConfig,
+    design: Design,
+    workloads: &[WorkloadConfig],
+    profile: Option<&HashMap<GlobalRowId, u64>>,
+) -> System {
+    let scaled: Vec<WorkloadConfig> = workloads
+        .iter()
+        .map(|w| w.scaled(cfg.scale as u64))
+        .collect();
+    let computed;
+    let profile = match (design.needs_profile(), profile) {
+        (false, _) => None,
+        (true, Some(p)) => Some(p),
+        (true, None) => {
+            computed = profile_row_counts(cfg, &scaled);
+            Some(&computed)
+        }
+    };
+    System::new(cfg.clone(), design, &scaled, profile)
+}
+
 /// Runs one full-system simulation of `design` over `workloads` (given at
 /// full scale; footprints are scaled by `cfg.scale`).
 ///
@@ -81,40 +107,7 @@ pub fn run_one(
     design: Design,
     workloads: &[WorkloadConfig],
 ) -> Result<RunMetrics, SimError> {
-    run_one_with_profile(cfg, design, workloads, None)
-}
-
-/// Like [`run_one`], but accepts a precomputed profiling pre-pass (as
-/// returned by [`profile_row_counts`] over the **scaled** workload set
-/// under the same configuration). The experiment harness memoizes the
-/// pre-pass across jobs this way: every static-design run over the same
-/// (workload set, seed, scale) shares one profile instead of recomputing
-/// it. `None` falls back to computing the profile in-line when the design
-/// needs one, which is exactly [`run_one`].
-///
-/// # Errors
-///
-/// Returns the [`SimError`] if the run could not finish.
-pub fn run_one_with_profile(
-    cfg: &SystemConfig,
-    design: Design,
-    workloads: &[WorkloadConfig],
-    profile: Option<&HashMap<GlobalRowId, u64>>,
-) -> Result<RunMetrics, SimError> {
-    let scaled: Vec<WorkloadConfig> = workloads
-        .iter()
-        .map(|w| w.scaled(cfg.scale as u64))
-        .collect();
-    let computed;
-    let profile = match profile {
-        Some(p) => design.needs_profile().then_some(p),
-        None if design.needs_profile() => {
-            computed = profile_row_counts(cfg, &scaled);
-            Some(&computed)
-        }
-        None => None,
-    };
-    System::new(cfg.clone(), design, &scaled, profile).run()
+    build_system(cfg, design, workloads, None).run()
 }
 
 /// Like [`run_one`], but also returns the telemetry report (`None` when
@@ -128,28 +121,20 @@ pub fn run_one_instrumented(
     run_one_instrumented_with_profile(cfg, design, workloads, None)
 }
 
-/// Like [`run_one_instrumented`] with an optional precomputed profiling
-/// pre-pass (see [`run_one_with_profile`] for the contract).
+/// Like [`run_one_instrumented`], but accepts a precomputed profiling
+/// pre-pass (as returned by [`profile_row_counts`] over the **scaled**
+/// workload set under the same configuration). The experiment harness
+/// memoizes the pre-pass across jobs this way: every static-design run
+/// over the same (workload set, seed, scale) shares one profile instead
+/// of recomputing it. `None` computes the profile in-line when the design
+/// needs one.
 pub fn run_one_instrumented_with_profile(
     cfg: &SystemConfig,
     design: Design,
     workloads: &[WorkloadConfig],
     profile: Option<&HashMap<GlobalRowId, u64>>,
 ) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
-    let scaled: Vec<WorkloadConfig> = workloads
-        .iter()
-        .map(|w| w.scaled(cfg.scale as u64))
-        .collect();
-    let computed;
-    let profile = match profile {
-        Some(p) => design.needs_profile().then_some(p),
-        None if design.needs_profile() => {
-            computed = profile_row_counts(cfg, &scaled);
-            Some(&computed)
-        }
-        None => None,
-    };
-    System::new(cfg.clone(), design, &scaled, profile).run_instrumented()
+    build_system(cfg, design, workloads, profile).run_instrumented()
 }
 
 /// Like [`run_one_instrumented`], but also returns the stage-profiler
@@ -165,18 +150,7 @@ pub fn run_one_profiled(
     Option<TelemetryReport>,
     Option<StageReport>,
 ) {
-    let scaled: Vec<WorkloadConfig> = workloads
-        .iter()
-        .map(|w| w.scaled(cfg.scale as u64))
-        .collect();
-    let computed;
-    let profile = if design.needs_profile() {
-        computed = profile_row_counts(cfg, &scaled);
-        Some(&computed)
-    } else {
-        None
-    };
-    System::new(cfg.clone(), design, &scaled, profile).run_profiled()
+    build_system(cfg, design, workloads, None).run_profiled()
 }
 
 /// Runs one simulation over **recorded traces** (one per core), e.g. loaded
@@ -288,22 +262,6 @@ pub fn run_one_coherent_profiled(
     System::with_coherence(cfg.clone(), design, &scaled, protocol).run_profiled()
 }
 
-/// Runs `designs` over the same workload set, returning results in order.
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] encountered.
-pub fn run_suite(
-    cfg: &SystemConfig,
-    designs: &[Design],
-    workloads: &[WorkloadConfig],
-) -> Result<Vec<RunMetrics>, SimError> {
-    designs
-        .iter()
-        .map(|&d| run_one(cfg, d, workloads))
-        .collect()
-}
-
 /// The paper's performance-improvement metric against the Std-DRAM
 /// baseline: for single-programming the IPC ratio; for multi-programming
 /// the mean per-core speedup (weighted speedup normalised by core count).
@@ -387,7 +345,9 @@ mod tests {
         let scaled: Vec<_> = libq().iter().map(|w| w.scaled(cfg.scale as u64)).collect();
         let profile = profile_row_counts(&cfg, &scaled);
         let inline = run_one(&cfg, Design::SasDram, &libq()).unwrap();
-        let shared = run_one_with_profile(&cfg, Design::SasDram, &libq(), Some(&profile)).unwrap();
+        let (shared, _) =
+            run_one_instrumented_with_profile(&cfg, Design::SasDram, &libq(), Some(&profile));
+        let shared = shared.unwrap();
         assert_eq!(inline.promotions, shared.promotions);
         assert_eq!(inline.memory_accesses, shared.memory_accesses);
         assert_eq!(inline.llc_misses, shared.llc_misses);

@@ -335,7 +335,7 @@ impl Management {
     }
 
     /// The installed migration policy's kind, action tallies and current
-    /// threshold (exclusive management only; `None` when no policy runs).
+    /// threshold for dynamic exclusive management; `None` otherwise.
     fn policy_stats(
         &self,
     ) -> Option<(
@@ -344,8 +344,8 @@ impl Management {
         u32,
     )> {
         match self {
-            Management::Exclusive(m) => m.policy_stats(),
-            Management::Inclusive(_) => None,
+            Management::Exclusive(m) if !m.config().static_mapping => Some(m.policy_stats()),
+            _ => None,
         }
     }
 }
@@ -803,13 +803,15 @@ impl System {
             if let Some(counts) = profile {
                 m.static_place(counts);
             }
-            if let Some(kind) = cfg.policy.filter(|_| !design.needs_profile()) {
+            if design.is_dynamic() {
                 // Promotion economics from this backend's timing set: the
                 // per-hit benefit is the activation-cycle gap, the swap
                 // cost is what the backend charges for one promotion
                 // (146.25 ns DAS, 48.75 ns LISA, 97.5 ns CLR morph).
                 m.install_policy(
-                    kind.build(),
+                    cfg.policy
+                        .unwrap_or(das_policy::PolicyKind::PaperFixed)
+                        .build(),
                     das_core::management::PolicyCosts {
                         benefit_ns: timing.slow.trc().as_ns() - timing.fast.trc().as_ns(),
                         swap_cost_ns: timing.swap.as_ns(),
@@ -1959,8 +1961,14 @@ impl System {
                     cores: c.cluster.config().cores,
                     stats: c.cluster.stats().clone(),
                 }),
-            policy: self.manager.as_ref().and_then(|m| m.policy_stats()).map(
-                |(kind, stats, threshold)| crate::stats::PolicyMetrics {
+            // The accounting block appears only when a policy was asked
+            // for, so default runs keep the report schema without it.
+            policy: self
+                .manager
+                .as_ref()
+                .filter(|_| self.cfg.policy.is_some())
+                .and_then(|m| m.policy_stats())
+                .map(|(kind, stats, threshold)| crate::stats::PolicyMetrics {
                     policy: kind.key().to_string(),
                     promotes: stats.promotes,
                     demotes: stats.demotes,
@@ -1968,8 +1976,7 @@ impl System {
                     threshold_adjusts: stats.threshold_adjusts,
                     epochs: stats.epochs,
                     final_threshold: threshold,
-                },
-            ),
+                }),
         }
     }
 }

@@ -14,6 +14,7 @@ use std::process::ExitCode;
 
 use das_core::replacement::ReplacementPolicy;
 use das_dram::geometry::FastRatio;
+use das_harness::manifest::{parse_design, resolve_workload, DESIGNS};
 use das_sim::config::{Design, SystemConfig};
 use das_sim::experiments::{improvement, run_one, run_recorded};
 use das_sim::stats::RunMetrics;
@@ -29,8 +30,8 @@ USAGE:
     das list
 
 OPTIONS:
-    --design <std|sas|charm|das|das-fm|fs|das-incl|tl|clr|lisa|salp>
-                         design (default: das)
+    --design <std|sas|charm|das|das_fm|fs|das_incl|tl|clr|lisa|salp>
+                         design, as in experiment manifests (default: das)
     --insts <N>          instructions per core (default: 3000000)
     --scale <N>          capacity scale factor (default: 64)
     --threshold <N>      promotion threshold (default: 1)
@@ -42,23 +43,6 @@ OPTIONS:
     --no-baseline        skip the Std-DRAM comparison run
     --seed <N>           workload seed (default: 42)
 ";
-
-fn parse_design(s: &str) -> Option<Design> {
-    Some(match s {
-        "std" => Design::Standard,
-        "sas" => Design::SasDram,
-        "charm" => Design::Charm,
-        "das" => Design::DasDram,
-        "das-fm" => Design::DasDramFm,
-        "fs" => Design::FsDram,
-        "das-incl" => Design::DasInclusive,
-        "tl" => Design::TlDram,
-        "clr" => Design::ClrDram,
-        "lisa" => Design::Lisa,
-        "salp" => Design::Salp,
-        _ => return None,
-    })
-}
 
 struct Options {
     design: Design,
@@ -109,8 +93,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         };
         match a.as_str() {
             "--design" => {
-                let v = next("--design")?;
-                o.design = parse_design(&v).ok_or_else(|| format!("unknown design {v:?}"))?;
+                o.design = parse_design(&next("--design")?)?;
             }
             "--bench" => o.bench = Some(next("--bench")?),
             "--mix" => o.mix = Some(next("--mix")?),
@@ -195,22 +178,16 @@ fn print_metrics(m: &RunMetrics, base: Option<&RunMetrics>) {
     println!("DRAM energy   : {:.1} uJ", m.energy.total_nj() / 1000.0);
 }
 
+/// Resolves `--bench`/`--mix` through the manifest workload vocabulary
+/// (`--mix M1` is the manifest token `mix:M1`).
 fn workloads_for(o: &Options) -> Result<Vec<WorkloadConfig>, String> {
-    match (&o.bench, &o.mix) {
-        (Some(b), None) => {
-            if !spec::names().contains(&b.as_str()) {
-                return Err(format!("unknown benchmark {b:?} (see `das list`)"));
-            }
-            Ok(vec![spec::by_name(b)])
-        }
-        (None, Some(m)) => {
-            if !mixes::names().contains(&m.as_str()) {
-                return Err(format!("unknown mix {m:?} (see `das list`)"));
-            }
-            Ok(mixes::mix(m).iter().map(|w| w.scaled(2)).collect())
-        }
-        _ => Err("specify exactly one of --bench or --mix".into()),
-    }
+    let token = match (&o.bench, &o.mix) {
+        (Some(b), None) if !b.contains(':') => b.clone(),
+        (Some(b), None) => return Err(format!("unknown benchmark {b:?}")),
+        (None, Some(m)) => format!("mix:{m}"),
+        _ => return Err("specify exactly one of --bench or --mix".into()),
+    };
+    resolve_workload(&token).map_err(|e| format!("{e} (see `das list`)"))
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -253,7 +230,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_list() {
-    println!("designs    : std, sas, charm, das, das-fm, fs, das-incl, tl, clr, lisa, salp");
+    let designs: Vec<&str> = DESIGNS.iter().map(|(key, _)| *key).collect();
+    println!("designs    : {}", designs.join(", "));
     println!("benchmarks : {}", spec::names().join(", "));
     println!("mixes      : {}", mixes::names().join(", "));
 }
@@ -291,22 +269,37 @@ mod tests {
         s.iter().map(|a| a.to_string()).collect()
     }
 
+    fn design_of(s: &[&str]) -> Result<Design, String> {
+        parse_args(&args(s)).map(|o| o.design)
+    }
+
     #[test]
     fn designs_parse() {
-        assert_eq!(parse_design("das"), Some(Design::DasDram));
-        assert_eq!(parse_design("fs"), Some(Design::FsDram));
-        assert_eq!(parse_design("tl"), Some(Design::TlDram));
-        assert_eq!(parse_design("clr"), Some(Design::ClrDram));
-        assert_eq!(parse_design("lisa"), Some(Design::Lisa));
-        assert_eq!(parse_design("salp"), Some(Design::Salp));
-        assert_eq!(parse_design("bogus"), None);
+        assert_eq!(design_of(&["--design", "das"]), Ok(Design::DasDram));
+        assert_eq!(design_of(&["--design", "fs"]), Ok(Design::FsDram));
+        assert_eq!(design_of(&["--design", "tl"]), Ok(Design::TlDram));
+        assert_eq!(design_of(&["--design", "clr"]), Ok(Design::ClrDram));
+        assert_eq!(design_of(&["--design", "lisa"]), Ok(Design::Lisa));
+        assert_eq!(design_of(&["--design", "salp"]), Ok(Design::Salp));
+        assert!(design_of(&["--design", "bogus"]).is_err());
+    }
+
+    #[test]
+    fn design_keys_are_the_manifest_keys() {
+        assert_eq!(design_of(&["--design", "das_fm"]), Ok(Design::DasDramFm));
+        assert_eq!(
+            design_of(&["--design", "das_incl"]),
+            Ok(Design::DasInclusive)
+        );
+        assert!(design_of(&["--design", "das-fm"]).is_err());
+        assert!(design_of(&["--design", "das-incl"]).is_err());
     }
 
     #[test]
     fn run_args_parse_into_config() {
         let o = parse_args(&args(&[
             "--design",
-            "das-fm",
+            "das_fm",
             "--bench",
             "mcf",
             "--insts",
@@ -353,6 +346,8 @@ mod tests {
         let o = parse_args(&args(&[])).unwrap();
         assert!(workloads_for(&o).is_err());
         let o = parse_args(&args(&["--bench", "gcc"])).unwrap();
+        assert!(workloads_for(&o).is_err());
+        let o = parse_args(&args(&["--bench", "shared:ring"])).unwrap();
         assert!(workloads_for(&o).is_err());
     }
 
