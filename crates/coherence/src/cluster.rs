@@ -11,9 +11,12 @@
 //!
 //! Everything is deterministic: peers are snooped in ascending core
 //! order (the lowest-index holder is the cache-to-cache supplier), and
-//! LRU eviction picks the entry with the smallest globally-unique use
-//! stamp, so the victim is well-defined even though the tag store is a
-//! `HashMap`.
+//! each private L1 keeps exact LRU order in an intrusive recency list
+//! over a fixed slab of `l1_lines` slots, indexed by a line → slot
+//! `HashMap`. A hit or a fill moves its line to the head, a snoop that
+//! changes a peer's state leaves the line where it is, and an
+//! invalidation unlinks it; the victim is always the tail. Hits, fills
+//! and evictions are O(1) whatever the L1 size.
 
 use std::collections::HashMap;
 
@@ -43,6 +46,10 @@ pub struct AccessOutcome {
     /// The line was supplied by no peer cache: fetch it from the shared
     /// LLC / DRAM below.
     pub fetch_below: bool,
+    /// The line was valid in another core's L1 when the access arrived:
+    /// a sharing-induced access. Purely observational (the memory side
+    /// weights sharing-hot DRAM rows with it); the protocol never reads it.
+    pub shared: bool,
     /// Dirty lines flushed out of the cluster by this access (snoop
     /// write-backs and dirty LRU victims), as line addresses.
     pub writebacks: Vec<u64>,
@@ -88,20 +95,181 @@ impl CoherenceStats {
     }
 }
 
+/// Link value for "no slot" at either end of a recency list.
+const NIL: u32 = u32::MAX;
+
+/// One resident line of a private L1 and its recency-list links.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: u64,
+    state: CohState,
+    /// Neighbour toward the head (more recently used), or [`NIL`].
+    prev: u32,
+    /// Neighbour toward the tail (less recently used), or [`NIL`].
+    next: u32,
+}
+
+/// One core's fully associative private L1 with exact LRU.
+///
+/// `index` maps a resident line to its slot in `slots`, a slab that never
+/// grows past `capacity`. Resident slots form a doubly linked list from
+/// `head` (most recently used) to `tail` (the LRU victim); slots freed by
+/// invalidations wait in `free` for the next fill.
+struct PrivateL1 {
+    index: HashMap<u64, u32>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+    capacity: usize,
+}
+
+impl PrivateL1 {
+    fn new(capacity: usize) -> PrivateL1 {
+        PrivateL1 {
+            index: HashMap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            capacity,
+        }
+    }
+
+    /// Slot and state of the resident copy of `line`, if any.
+    fn lookup(&self, line: u64) -> Option<(u32, CohState)> {
+        let &i = self.index.get(&line)?;
+        Some((i, self.slots[i as usize].state))
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: u32) {
+        let old_head = self.head;
+        let slot = &mut self.slots[i as usize];
+        slot.prev = NIL;
+        slot.next = old_head;
+        match old_head {
+            NIL => self.tail = i,
+            h => self.slots[h as usize].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// A processor access used slot `i`: record `state` and make it the
+    /// most recently used line.
+    fn touch(&mut self, i: u32, state: CohState) {
+        self.slots[i as usize].state = state;
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
+
+    /// A snoop moved slot `i` to `state`; its recency is unchanged.
+    fn set_state(&mut self, i: u32, state: CohState) {
+        self.slots[i as usize].state = state;
+    }
+
+    /// Drop slot `i`'s line (invalidation, stale tag or eviction).
+    fn remove(&mut self, i: u32) {
+        self.unlink(i);
+        self.index.remove(&self.slots[i as usize].line);
+        self.free.push(i);
+    }
+
+    /// Fill a non-resident `line` as the most recently used entry,
+    /// evicting the LRU line first when the cache is full. Returns the
+    /// victim's line and state.
+    fn insert(&mut self, line: u64, state: CohState) -> Option<(u64, CohState)> {
+        debug_assert!(!self.index.contains_key(&line), "fill of a resident line");
+        let victim = (self.index.len() >= self.capacity).then(|| {
+            let t = self.tail;
+            let Slot { line, state, .. } = self.slots[t as usize];
+            self.remove(t);
+            (line, state)
+        });
+        let slot = Slot {
+            line,
+            state,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(line, i);
+        self.push_front(i);
+        victim
+    }
+
+    /// Remove every dirty line, appending its address to `out`.
+    fn drain_dirty(&mut self, out: &mut Vec<u64>) {
+        let mut i = self.head;
+        while i != NIL {
+            let Slot {
+                line, state, next, ..
+            } = self.slots[i as usize];
+            if state.is_dirty() {
+                out.push(line);
+                self.remove(i);
+            }
+            i = next;
+        }
+    }
+
+    /// Structural invariants: the index and the recency list name the
+    /// same slots, every link has its mirror, and the slab never holds
+    /// more than `capacity` lines.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        assert!(self.index.len() <= self.capacity, "over capacity");
+        assert!(self.slots.len() <= self.capacity, "slab grew past capacity");
+        assert_eq!(self.slots.len(), self.index.len() + self.free.len());
+        let (mut len, mut prev, mut i) = (0, NIL, self.head);
+        while i != NIL {
+            let slot = &self.slots[i as usize];
+            assert_eq!(slot.prev, prev, "back link of slot {i} is broken");
+            assert_eq!(
+                self.index.get(&slot.line),
+                Some(&i),
+                "list slot not indexed"
+            );
+            len += 1;
+            assert!(len <= self.index.len(), "recency list has a cycle");
+            prev = i;
+            i = slot.next;
+        }
+        assert_eq!(self.tail, prev, "tail is not the last list slot");
+        assert_eq!(len, self.index.len(), "index and list sizes differ");
+    }
+}
+
 /// N private L1s + snooping bus + protocol.
 pub struct CoherentCluster {
     protocol: Box<dyn CoherenceProtocol + Send + Sync>,
     cfg: ClusterConfig,
-    /// Per-core tag store: line address → (state, last-use stamp).
-    l1: Vec<HashMap<u64, (CohState, u64)>>,
-    use_counter: u64,
+    /// One private L1 per core.
+    l1: Vec<PrivateL1>,
     bus: SnoopBus,
     stats: CoherenceStats,
-    /// Per-line sharing-induced access counts: how many accesses found
-    /// the line valid in *another* core's L1. Surfaced so fast-level
-    /// placement (cost-aware migration policies) can weight sharing-hot
-    /// rows; purely observational, never read by the protocol.
-    shared_access_counts: HashMap<u64, u32>,
 }
 
 impl CoherentCluster {
@@ -109,17 +277,21 @@ impl CoherentCluster {
         assert!(cfg.cores >= 1, "cluster needs at least one core");
         assert!(cfg.l1_lines >= 1, "private caches need at least one line");
         assert!(
+            cfg.l1_lines < NIL as usize,
+            "private caches index slots with u32"
+        );
+        assert!(
             cfg.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
         CoherentCluster {
             protocol: kind.build(),
-            l1: vec![HashMap::new(); cfg.cores],
+            l1: (0..cfg.cores)
+                .map(|_| PrivateL1::new(cfg.l1_lines))
+                .collect(),
             cfg,
-            use_counter: 0,
             bus: SnoopBus::new(),
             stats: CoherenceStats::default(),
-            shared_access_counts: HashMap::new(),
         }
     }
 
@@ -139,31 +311,11 @@ impl CoherentCluster {
         self.stats.shared_promotions += 1;
     }
 
-    /// Sharing-induced access count for the line holding `addr`: how many
-    /// accesses found it valid in another core's L1.
-    pub fn shared_accesses(&self, addr: u64) -> u32 {
-        self.shared_access_counts
-            .get(&(addr & !(self.cfg.line_bytes - 1)))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Number of distinct lines that have seen at least one
-    /// sharing-induced access.
-    pub fn sharing_hot_lines(&self) -> usize {
-        self.shared_access_counts.len()
-    }
-
     /// State of `core`'s copy of the line holding `addr`, if any.
     pub fn probe(&self, core: usize, addr: u64) -> Option<CohState> {
         self.l1[core]
-            .get(&(addr & !(self.cfg.line_bytes - 1)))
-            .map(|&(s, _)| s)
-    }
-
-    fn note_shared_access(&mut self, line: u64) {
-        let n = self.shared_access_counts.entry(line).or_insert(0);
-        *n = n.saturating_add(1);
+            .lookup(addr & !(self.cfg.line_bytes - 1))
+            .map(|(_, s)| s)
     }
 
     /// Does any core other than `core` hold a valid copy of `line`?
@@ -171,7 +323,7 @@ impl CoherentCluster {
         self.l1
             .iter()
             .enumerate()
-            .any(|(c, tags)| c != core && tags.get(&line).is_some_and(|&(s, _)| s != CohState::I))
+            .any(|(c, l1)| c != core && l1.lookup(line).is_some_and(|(_, s)| s != CohState::I))
     }
 
     /// Broadcast `tx` from `core`: snoop every valid peer holder in
@@ -189,7 +341,8 @@ impl CoherentCluster {
             if c == core {
                 continue;
             }
-            let Some(&(state, stamp)) = self.l1[c].get(&line) else {
+            let peer = &mut self.l1[c];
+            let Some((i, state)) = peer.lookup(line) else {
                 continue;
             };
             if state == CohState::I {
@@ -206,52 +359,33 @@ impl CoherentCluster {
                 self.stats.writeback_flushes += 1;
             }
             if out.next == CohState::I {
-                self.l1[c].remove(&line);
+                peer.remove(i);
                 self.stats.invalidations += 1;
             } else {
-                self.l1[c].insert(line, (out.next, stamp));
+                peer.set_state(i, out.next);
             }
         }
         supplied
     }
 
-    /// Insert `line` into `core`'s L1, evicting the LRU entry if full.
-    /// Dirty victims are flushed below.
-    fn fill(&mut self, core: usize, line: u64, state: CohState, writebacks: &mut Vec<u64>) {
-        let stamp = self.use_counter;
-        let tags = &mut self.l1[core];
-        if tags.len() >= self.cfg.l1_lines && !tags.contains_key(&line) {
-            // Use stamps are globally unique, so the minimum is a single
-            // well-defined victim regardless of HashMap iteration order.
-            let victim = tags
-                .iter()
-                .min_by_key(|(_, &(_, used))| used)
-                .map(|(&l, &(s, _))| (l, s))
-                .expect("full cache has a victim");
-            tags.remove(&victim.0);
-            if victim.1.is_dirty() {
-                writebacks.push(victim.0);
-                self.stats.writeback_flushes += 1;
-            }
-        }
-        tags.insert(line, (state, stamp));
-    }
-
     /// One core access at `now` (core cycles). See [`AccessOutcome`].
     pub fn access(&mut self, core: usize, addr: u64, is_write: bool, now: u64) -> AccessOutcome {
+        let out = self.resolve(core, addr, is_write, now);
+        #[cfg(test)]
+        self.check_invariants();
+        out
+    }
+
+    fn resolve(&mut self, core: usize, addr: u64, is_write: bool, now: u64) -> AccessOutcome {
         assert!(core < self.cfg.cores, "core index out of range");
-        self.use_counter += 1;
         let line = addr & !(self.cfg.line_bytes - 1);
         let mut writebacks = Vec::new();
+        let others = self.others_hold(core, line);
 
-        let held = self.l1[core].get(&line).copied();
-        if let Some((state, _)) = held.filter(|&(s, _)| s != CohState::I) {
+        let held = self.l1[core].lookup(line);
+        if let Some((i, state)) = held.filter(|&(_, s)| s != CohState::I) {
             // ---- hit ----------------------------------------------------
             self.stats.l1_hits += 1;
-            let others = self.others_hold(core, line);
-            if others {
-                self.note_shared_access(line);
-            }
             let out = self.protocol.on_hit(state, is_write, others);
             let mut done = now + self.cfg.hit_cycles;
             if let Some(tx) = out.bus {
@@ -265,24 +399,23 @@ impl CoherentCluster {
                 self.snoop_peers(core, line, tx, &mut writebacks);
                 done = done.max(bus_done);
             }
-            self.l1[core].insert(line, (out.next, self.use_counter));
+            // Snoops never touch the requester's own L1, so `i` still
+            // names this line.
+            self.l1[core].touch(i, out.next);
             self.sync_bus_stats();
             return AccessOutcome {
                 cycles: done - now,
                 fetch_below: false,
+                shared: others,
                 writebacks,
             };
         }
 
         // ---- miss -------------------------------------------------------
         self.stats.l1_misses += 1;
-        if held.is_some() {
+        if let Some((i, _)) = held {
             // Stale Invalid tag: drop it before refilling.
-            self.l1[core].remove(&line);
-        }
-        let others = self.others_hold(core, line);
-        if others {
-            self.note_shared_access(line);
+            self.l1[core].remove(i);
         }
         let out = self.protocol.on_miss(is_write, others);
         self.stats.count_tx(out.tx);
@@ -300,11 +433,17 @@ impl CoherentCluster {
             self.snoop_peers(core, line, tx2, &mut writebacks);
             done = upd_done;
         }
-        self.fill(core, line, out.next, &mut writebacks);
+        if let Some((victim, state)) = self.l1[core].insert(line, out.next) {
+            if state.is_dirty() {
+                writebacks.push(victim);
+                self.stats.writeback_flushes += 1;
+            }
+        }
         self.sync_bus_stats();
         AccessOutcome {
             cycles: (done - now) + self.cfg.hit_cycles,
             fetch_below: !supplied,
+            shared: others,
             writebacks,
         }
     }
@@ -313,15 +452,8 @@ impl CoherentCluster {
     /// Returns the flushed line addresses in ascending order.
     pub fn drain_dirty(&mut self) -> Vec<u64> {
         let mut lines: Vec<u64> = Vec::new();
-        for tags in &mut self.l1 {
-            tags.retain(|&line, &mut (state, _)| {
-                if state.is_dirty() {
-                    lines.push(line);
-                    false
-                } else {
-                    true
-                }
-            });
+        for l1 in &mut self.l1 {
+            l1.drain_dirty(&mut lines);
         }
         lines.sort_unstable();
         self.stats.writeback_flushes += lines.len() as u64;
@@ -331,6 +463,13 @@ impl CoherentCluster {
     fn sync_bus_stats(&mut self) {
         self.stats.bus_wait_cycles = self.bus.wait_cycles;
         self.stats.bus_busy_cycles = self.bus.busy_cycles;
+    }
+
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        for l1 in &self.l1 {
+            l1.check_invariants();
+        }
     }
 }
 
@@ -351,22 +490,23 @@ mod tests {
     }
 
     #[test]
-    fn sharing_induced_accesses_are_counted_per_line() {
+    fn sharing_induced_accesses_are_flagged() {
         let mut cl = cluster(ProtocolKind::Mesi, 2);
         // Core 0 alone: nothing is sharing-induced.
-        cl.access(0, 0x100, false, 0);
-        assert_eq!(cl.shared_accesses(0x100), 0);
-        assert_eq!(cl.sharing_hot_lines(), 0);
+        assert!(!cl.access(0, 0x100, false, 0).shared);
         // Core 1 touches the line core 0 holds: sharing-induced.
-        cl.access(1, 0x100, false, 10);
-        assert_eq!(cl.shared_accesses(0x100), 1);
-        // Core 0 hits its own copy while core 1 also holds it: counted.
-        cl.access(0, 0x120, false, 20);
-        assert_eq!(cl.shared_accesses(0x100), 2, "same line, offset addr");
-        assert_eq!(cl.sharing_hot_lines(), 1);
+        assert!(cl.access(1, 0x100, false, 10).shared);
+        // Core 0 hits its own copy while core 1 also holds it (same line,
+        // offset address): sharing-induced.
+        let hit = cl.access(0, 0x120, false, 20);
+        assert!(hit.shared);
+        assert_eq!(cl.stats().l1_hits, 1);
         // A private line on another core never counts.
-        cl.access(1, 0x2000, false, 30);
-        assert_eq!(cl.shared_accesses(0x2000), 0);
+        assert!(!cl.access(1, 0x2000, false, 30).shared);
+        // Once core 0's write invalidates core 1's copy, core 0's own hits
+        // are private again.
+        cl.access(0, 0x100, true, 40);
+        assert!(!cl.access(0, 0x100, false, 50).shared);
     }
 
     #[test]
@@ -456,6 +596,51 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_makes_its_line_most_recent() {
+        let mut cl = cluster(ProtocolKind::Mesi, 1);
+        for (t, addr) in [0x000, 0x040, 0x080, 0x0c0].into_iter().enumerate() {
+            cl.access(0, addr, false, t as u64);
+        }
+        // 0x000 is the oldest fill, but the hit refreshes it ...
+        cl.access(0, 0x000, false, 4);
+        assert_eq!(cl.stats().l1_hits, 1);
+        // ... so the next fill evicts 0x040 instead.
+        cl.access(0, 0x100, false, 5);
+        assert_eq!(cl.probe(0, 0x000), Some(CohState::E));
+        assert_eq!(cl.probe(0, 0x040), None);
+    }
+
+    #[test]
+    fn a_peer_snoop_does_not_refresh_the_snooped_line() {
+        for (kind, peer_write) in [(ProtocolKind::Mesi, false), (ProtocolKind::Dragon, true)] {
+            let mut cl = cluster(kind, 2);
+            cl.access(0, 0x000, false, 0);
+            if kind == ProtocolKind::Dragon {
+                // Make core 1 a sharer so its write is a BusUpd hit.
+                cl.access(1, 0x000, false, 1);
+            }
+            for (t, addr) in [0x040, 0x080, 0x0c0].into_iter().enumerate() {
+                cl.access(0, addr, false, 2 + t as u64);
+            }
+            // MESI: core 1's read demotes core 0's E copy to S (BusRd).
+            // Dragon: core 1's shared write sends a BusUpd to core 0's Sc.
+            let before = cl.probe(0, 0x000);
+            cl.access(1, 0x000, peer_write, 10);
+            let snooped = cl.probe(0, 0x000);
+            assert!(snooped.is_some(), "{kind:?}: snoop must not invalidate");
+            if kind == ProtocolKind::Mesi {
+                assert_eq!((before, snooped), (Some(CohState::E), Some(CohState::S)));
+            } else {
+                assert_eq!(cl.stats().bus_upd, 1, "{kind:?}");
+            }
+            // The snoop left 0x000 least recent, so it is still the victim.
+            cl.access(0, 0x100, false, 20);
+            assert_eq!(cl.probe(0, 0x000), None, "{kind:?}");
+            assert!(cl.probe(0, 0x040).is_some(), "{kind:?}");
+        }
+    }
+
+    #[test]
     fn drain_flushes_all_dirty_lines_in_order() {
         let mut cl = cluster(ProtocolKind::Mesi, 2);
         cl.access(0, 0x200, true, 0);
@@ -463,6 +648,10 @@ mod tests {
         cl.access(0, 0x300, false, 20);
         assert_eq!(cl.drain_dirty(), vec![0x100, 0x200]);
         assert_eq!(cl.drain_dirty(), Vec::<u64>::new());
+        // Drained lines left the cache; clean ones stayed.
+        assert_eq!(cl.probe(0, 0x200), None);
+        assert_eq!(cl.probe(0, 0x300), Some(CohState::E));
+        assert!(cl.access(0, 0x200, false, 30).fetch_below);
     }
 
     #[test]
