@@ -118,6 +118,7 @@ impl Bank {
         self.buffers.len()
     }
 
+    #[inline]
     fn buf(&self, idx: usize) -> &BufferState {
         &self.buffers[idx.min(self.buffers.len() - 1)]
     }
@@ -128,11 +129,13 @@ impl Bank {
     }
 
     /// Current state of buffer `idx`.
+    #[inline]
     pub fn state(&self, idx: usize) -> RowBufferState {
         self.buf(idx).state
     }
 
     /// The physical row open in buffer `idx`, if any.
+    #[inline]
     pub fn open_row(&self, idx: usize) -> Option<u32> {
         match self.buf(idx).state {
             RowBufferState::Open { phys_row, .. } => Some(phys_row),
@@ -165,6 +168,7 @@ impl Bank {
 
     /// Earliest tick an ACT into buffer `idx` may issue. `None` if that
     /// buffer holds an open row (a PRE must come first).
+    #[inline]
     pub fn earliest_activate(&self, idx: usize) -> Option<Tick> {
         match self.buf(idx).state {
             RowBufferState::Precharged => Some(self.buf(idx).act_ready.max(self.bank_act_ready)),
@@ -173,24 +177,28 @@ impl Bank {
     }
 
     /// Earliest tick a READ of buffer `idx`'s open row may issue.
+    #[inline]
     pub fn earliest_read(&self, idx: usize) -> Option<Tick> {
         self.open_row(idx)
             .map(|_| self.buf(idx).rd_ready.max(self.col_ready))
     }
 
     /// Earliest tick a WRITE to buffer `idx`'s open row may issue.
+    #[inline]
     pub fn earliest_write(&self, idx: usize) -> Option<Tick> {
         self.open_row(idx)
             .map(|_| self.buf(idx).wr_ready.max(self.col_ready))
     }
 
     /// Earliest tick a PRE of buffer `idx` may issue. `None` if precharged.
+    #[inline]
     pub fn earliest_precharge(&self, idx: usize) -> Option<Tick> {
         self.open_row(idx).map(|_| self.buf(idx).pre_ready)
     }
 
     /// Earliest tick the whole bank is precharged and ACT-ready (for
     /// refresh and migration): `None` if any buffer is open.
+    #[inline]
     pub fn earliest_all_precharged(&self) -> Option<Tick> {
         let mut t = self.bank_act_ready;
         for b in &self.buffers {
@@ -204,6 +212,7 @@ impl Bank {
 
     /// Earliest tick a row swap may start: the bank must be fully
     /// precharged.
+    #[inline]
     pub fn earliest_swap(&self) -> Option<Tick> {
         self.earliest_all_precharged()
     }

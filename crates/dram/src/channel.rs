@@ -6,7 +6,7 @@
 //! [`ChannelDevice::issue`]. All timing constraints of §2.3 (and the swap of
 //! §4.2) are enforced here.
 
-use crate::bank::{Bank, BankStats};
+use crate::bank::{Bank, BankStats, RowBufferState};
 use crate::command::DramCommand;
 use crate::geometry::{BankCoord, BankLayout, SubarrayKind};
 use crate::rank::{BusDir, DataBus, RankTracker};
@@ -89,6 +89,7 @@ impl ChannelDevice {
         }
     }
 
+    #[inline]
     fn buffer_of(&self, phys_row: u32) -> usize {
         if self.salp {
             self.layout.classify(phys_row).0
@@ -97,6 +98,7 @@ impl ChannelDevice {
         }
     }
 
+    #[inline]
     fn bank_idx(&self, bank: BankCoord) -> usize {
         debug_assert_eq!(
             bank.channel, self.channel_id,
@@ -116,6 +118,7 @@ impl ChannelDevice {
     }
 
     /// Whether `phys_row` is currently open in its serving row buffer.
+    #[inline]
     pub fn is_row_open(&self, bank: BankCoord, phys_row: u32) -> bool {
         let idx = self.buffer_of(phys_row);
         self.banks[self.bank_idx(bank)].open_row(idx) == Some(phys_row)
@@ -123,6 +126,7 @@ impl ChannelDevice {
 
     /// The row currently occupying the buffer that would serve `phys_row`
     /// (the bank's only buffer in conventional mode).
+    #[inline]
     pub fn open_row_in_buffer_of(&self, bank: BankCoord, phys_row: u32) -> Option<u32> {
         let idx = self.buffer_of(phys_row);
         self.banks[self.bank_idx(bank)].open_row(idx)
@@ -336,6 +340,7 @@ impl ChannelDevice {
 
     /// Whether a refresh is pending on any rank at `now` (always `false`
     /// when refresh is disabled).
+    #[inline]
     pub fn refresh_due(&self, now: Tick) -> Option<u8> {
         if !self.refresh_enabled {
             return None;
@@ -348,6 +353,7 @@ impl ChannelDevice {
     }
 
     /// Earliest tick at which any rank will require a refresh.
+    #[inline]
     pub fn next_refresh_due(&self) -> Option<Tick> {
         if !self.refresh_enabled {
             return None;
@@ -361,8 +367,10 @@ impl ChannelDevice {
         phys_row: u32,
     ) -> Option<&crate::timing::TimingParams> {
         let idx = self.buffer_of(phys_row);
-        let row = self.banks[self.bank_idx(bank)].open_row(idx)?;
-        Some(self.timing.params_for(self.layout.row_kind(row)))
+        match self.banks[self.bank_idx(bank)].state(idx) {
+            RowBufferState::Open { kind, .. } => Some(self.timing.params_for(kind)),
+            RowBufferState::Precharged => None,
+        }
     }
 }
 

@@ -44,6 +44,7 @@ impl DataBus {
 
     /// Earliest tick a burst in `dir` may *start* on the bus, given the
     /// write-to-read turnaround `twtr` and the read-to-write gap `rtw`.
+    #[inline]
     pub fn earliest_start(&self, dir: BusDir, twtr: Tick, rtw: Tick) -> Tick {
         let mut t = self.free_at;
         match (self.last_dir, dir) {
@@ -110,6 +111,7 @@ impl RankTracker {
 
     /// Earliest tick a new ACT may issue in this rank under tRRD/tFAW and
     /// any in-progress refresh.
+    #[inline]
     pub fn earliest_activate(&self, trrd: Tick, tfaw: Tick) -> Tick {
         let mut t = self.busy_until;
         if self.acts_seen > 0 {
@@ -131,16 +133,19 @@ impl RankTracker {
     }
 
     /// Whether a refresh is due at `now`.
+    #[inline]
     pub fn refresh_due(&self, now: Tick) -> bool {
         now >= self.next_refresh_due()
     }
 
     /// Tick of the next scheduled refresh.
+    #[inline]
     pub fn next_refresh_due(&self) -> Tick {
         self.next_due
     }
 
     /// Rank busy (refresh in progress) until this tick.
+    #[inline]
     pub fn busy_until(&self) -> Tick {
         self.busy_until
     }

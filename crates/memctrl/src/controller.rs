@@ -6,6 +6,16 @@
 //! [`MemoryController::advance`] with the current tick to let it issue every
 //! command that has become legal, and [`MemoryController::next_action_time`]
 //! to learn when to wake it next.
+//!
+//! Each scheduling decision costs one timing probe of the device:
+//! - The read and write queues are kept in age order, `(arrival, id)`
+//!   ascending, with equal keys in push order. The oldest request is the
+//!   head, and the oldest row hit is the first queued request whose row is
+//!   open; only that request is probed with `earliest_issue`.
+//! - The pick for a tick is memoised. `advance` stops on a pick it cannot
+//!   issue yet, and `next_action_time` at the same tick returns that pick
+//!   without searching again. The memo is cleared by everything that can
+//!   change a pick: `enqueue`, `enqueue_swap` and every issued command.
 
 use core::fmt;
 
@@ -137,11 +147,16 @@ pub struct ControllerStats {
     pub read_latency_ticks: u64,
 }
 
+/// One scheduling decision: the command, its earliest issue tick, and the
+/// bookkeeping role.
+type Pick = (DramCommand, Tick, Role);
+
 /// One channel's memory controller. See the [module docs](self).
 #[derive(Debug)]
 pub struct MemoryController {
     cfg: ControllerConfig,
     channel: ChannelDevice,
+    /// Demand queues in age order, `(arrival, id)` ascending.
     reads: Vec<Pending>,
     writes: Vec<Pending>,
     swaps: Vec<SwapOp>,
@@ -150,6 +165,9 @@ pub struct MemoryController {
     last_cmd: Tick,
     first_cmd_issued: bool,
     stats: ControllerStats,
+    /// The last pick and the tick it was made for; `None` once the queues
+    /// or the device have changed since.
+    memo: Option<(Tick, Option<Pick>)>,
 }
 
 impl MemoryController {
@@ -168,6 +186,7 @@ impl MemoryController {
             last_cmd: Tick::ZERO,
             first_cmd_issued: false,
             stats: ControllerStats::default(),
+            memo: None,
         }
     }
 
@@ -222,35 +241,38 @@ impl MemoryController {
     /// [`ControllerError::QueueOverflow`] when the corresponding queue is
     /// full (callers should check `can_accept_*` first).
     pub fn enqueue(&mut self, req: Request) -> Result<(), ControllerError> {
-        if req.is_write {
-            if !self.can_accept_write() {
-                return Err(ControllerError::QueueOverflow {
-                    is_write: true,
-                    capacity: self.cfg.write_queue,
-                });
-            }
-            self.writes.push(Pending {
-                req,
-                activated: None,
-            });
+        let (accept, capacity, q) = if req.is_write {
+            (
+                self.can_accept_write(),
+                self.cfg.write_queue,
+                &mut self.writes,
+            )
         } else {
-            if !self.can_accept_read() {
-                return Err(ControllerError::QueueOverflow {
-                    is_write: false,
-                    capacity: self.cfg.read_queue,
-                });
-            }
-            self.reads.push(Pending {
-                req,
-                activated: None,
+            (self.can_accept_read(), self.cfg.read_queue, &mut self.reads)
+        };
+        if !accept {
+            return Err(ControllerError::QueueOverflow {
+                is_write: req.is_write,
+                capacity,
             });
         }
+        // After every equal key, so ties keep push order.
+        let at = q.partition_point(|p| age(&p.req) <= age(&req));
+        q.insert(
+            at,
+            Pending {
+                req,
+                activated: None,
+            },
+        );
+        self.memo = None;
         Ok(())
     }
 
     /// Enqueues a row swap.
     pub fn enqueue_swap(&mut self, op: SwapOp) {
         self.swaps.push(op);
+        self.memo = None;
     }
 
     fn cmd_gap(&self) -> Tick {
@@ -272,13 +294,13 @@ impl MemoryController {
         let mut out = Vec::new();
         // Cap iterations defensively; each loop issues at most one command.
         for _ in 0..4096 {
-            self.update_drain_mode();
-            let Some((cmd, at, role)) = self.best_command(now) else {
+            let Some((cmd, at, role)) = self.pick(now) else {
                 break;
             };
             if at > now {
                 break;
             }
+            self.memo = None;
             let outcome = self.channel.issue(&cmd, at);
             self.last_cmd = at;
             self.first_cmd_issued = true;
@@ -343,8 +365,7 @@ impl MemoryController {
     /// The earliest tick at which [`MemoryController::advance`] could make
     /// progress, or `None` when nothing is queued and no refresh is armed.
     pub fn next_action_time(&mut self, now: Tick) -> Option<Tick> {
-        self.update_drain_mode();
-        let cmd = self.best_command(now).map(|(_, at, _)| at);
+        let cmd = self.pick(now).map(|(_, at, _)| at);
         // A refresh deadline that has already passed is handled by
         // `best_command` (which schedules the REF or the precharges leading
         // to it); reporting it here would wedge the caller at `now`.
@@ -355,6 +376,25 @@ impl MemoryController {
             (None, Some(r)) => Some(r),
             (None, None) => None,
         }
+    }
+
+    /// The scheduling decision at `now`, memoised until the next enqueue or
+    /// issued command (see the [module docs](self)).
+    fn pick(&mut self, now: Tick) -> Option<Pick> {
+        if let Some((at, pick)) = self.memo {
+            if at == now {
+                #[cfg(test)]
+                {
+                    self.update_drain_mode();
+                    assert_eq!(pick, self.best_command(now), "stale memoised pick");
+                }
+                return pick;
+            }
+        }
+        self.update_drain_mode();
+        let pick = self.best_command(now);
+        self.memo = Some((now, pick));
+        pick
     }
 
     fn update_drain_mode(&mut self) {
@@ -379,9 +419,21 @@ impl MemoryController {
         }
     }
 
+    fn queue(&self, list: List) -> &[Pending] {
+        match list {
+            List::Reads => &self.reads,
+            List::Writes => &self.writes,
+        }
+    }
+
     /// Chooses the next command per the scheduling policy, returning the
     /// command, its earliest issue tick, and the bookkeeping role.
-    fn best_command(&self, now: Tick) -> Option<(DramCommand, Tick, Role)> {
+    ///
+    /// The demand steps probe the device once each: the age-ordered queues
+    /// put the oldest request at the head and the oldest row hit at the
+    /// first request whose row is open. Callers go through
+    /// [`MemoryController::pick`], which memoises the result for `now`.
+    fn best_command(&self, now: Tick) -> Option<Pick> {
         // 1. Refresh when due (mandatory, before new work).
         if let Some(rank) = self.channel.refresh_due(now) {
             let cmd = DramCommand::Refresh { rank };
@@ -431,7 +483,7 @@ impl MemoryController {
 
     /// Closed-page policy: propose a PRE for any open row that no queued
     /// request targets.
-    fn idle_row_precharge(&self, now: Tick) -> Option<(DramCommand, Tick, Role)> {
+    fn idle_row_precharge(&self, now: Tick) -> Option<Pick> {
         for rank in 0..self.channel.ranks() {
             for bank in self.channel.open_banks_of_rank(rank) {
                 for row in self.channel.open_rows(bank) {
@@ -456,7 +508,7 @@ impl MemoryController {
         None
     }
 
-    fn refresh_blocking_precharge(&self, now: Tick, rank: u8) -> Option<(DramCommand, Tick, Role)> {
+    fn refresh_blocking_precharge(&self, now: Tick, rank: u8) -> Option<Pick> {
         // Close any open row of the refreshing rank (oldest-first demand
         // ordering is secondary to refresh urgency).
         for bank_coord in self.open_banks_of_rank(rank) {
@@ -477,42 +529,20 @@ impl MemoryController {
         self.channel.open_banks_of_rank(rank)
     }
 
-    fn oldest_row_hit(&self, now: Tick, list: List) -> Option<(DramCommand, Tick, Role)> {
-        let q = match list {
-            List::Reads => &self.reads,
-            List::Writes => &self.writes,
-        };
-        let mut best: Option<(usize, Tick)> = None;
-        for (i, p) in q.iter().enumerate() {
-            if !self.channel.is_row_open(p.req.coord.bank, p.req.coord.row) {
-                continue;
-            }
-            let Some(t) = self.channel.earliest_issue(&column_cmd(&p.req), now) else {
-                continue;
-            };
-            let t = self.bus_ready(t);
-            let better = match best {
-                None => true,
-                Some((bi, _)) => (p.req.arrival, p.req.id) < (q[bi].req.arrival, q[bi].req.id),
-            };
-            if better {
-                best = Some((i, t));
-            }
-        }
-        best.map(|(i, t)| (column_cmd(&q[i].req), t, Role::Column { list, idx: i }))
+    fn oldest_row_hit(&self, now: Tick, list: List) -> Option<Pick> {
+        let q = self.queue(list);
+        let idx = q
+            .iter()
+            .position(|p| self.channel.is_row_open(p.req.coord.bank, p.req.coord.row))?;
+        let cmd = column_cmd(&q[idx].req);
+        let t = self.channel.earliest_issue(&cmd, now);
+        debug_assert!(t.is_some(), "an open row admits its column command");
+        Some((cmd, self.bus_ready(t?), Role::Column { list, idx }))
     }
 
-    fn oldest_next_step(&self, now: Tick, list: List) -> Option<(DramCommand, Tick, Role)> {
-        let q = match list {
-            List::Reads => &self.reads,
-            List::Writes => &self.writes,
-        };
-        let oldest = q
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, p)| (p.req.arrival, p.req.id))
-            .map(|(i, _)| i)?;
-        let p = &q[oldest];
+    fn oldest_next_step(&self, now: Tick, list: List) -> Option<Pick> {
+        // The queue head is its oldest request.
+        let p = self.queue(list).first()?;
         let bank = p.req.coord.bank;
         let cmd = match self.channel.open_row_in_buffer_of(bank, p.req.coord.row) {
             Some(row) if row == p.req.coord.row => column_cmd(&p.req),
@@ -531,15 +561,15 @@ impl MemoryController {
             DramCommand::Precharge { .. } => Role::Precharge,
             DramCommand::Activate { phys_row, .. } => Role::Activate {
                 list,
-                idx: oldest,
+                idx: 0,
                 phys_row,
             },
-            _ => Role::Column { list, idx: oldest },
+            _ => Role::Column { list, idx: 0 },
         };
         Some((cmd, t, role))
     }
 
-    fn swap_command(&self, now: Tick, only_starved: bool) -> Option<(DramCommand, Tick, Role)> {
+    fn swap_command(&self, now: Tick, only_starved: bool) -> Option<Pick> {
         for (idx, op) in self.swaps.iter().enumerate() {
             let starving = self.cfg.migration_starvation != Tick::MAX
                 && now >= op.arrival + self.cfg.migration_starvation;
@@ -598,13 +628,18 @@ fn column_cmd(req: &Request) -> DramCommand {
     }
 }
 
+/// Queue order: oldest arrival first, ids breaking ties.
+fn age(req: &Request) -> (Tick, u64) {
+    (req.arrival, req.id)
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum List {
     Reads,
     Writes,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Role {
     Refresh,
     Precharge,
@@ -965,6 +1000,174 @@ mod tests {
             panic!()
         };
         assert!(fast_at < slow_at, "fast {fast_at} !< slow {slow_at}");
+    }
+
+    fn read_ids(done: &[Completion]) -> Vec<u64> {
+        done.iter()
+            .filter_map(|d| match d {
+                Completion::ReadDone { id, .. } => Some(*id),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn older_arrival_enqueued_later_is_the_first_row_hit() {
+        let mut c = ctrl(TimingSet::homogeneous_slow());
+        let row = c.channel().layout().slow_to_phys(0);
+        c.enqueue(read(1, 0, row, 0, Tick::ZERO)).unwrap();
+        assert_eq!(run_until_idle(&mut c, Tick::ZERO).len(), 1);
+        // Both hit the open row; 3 is pushed last but arrived first.
+        let now = Tick::from_ns(200.0);
+        c.enqueue(read(2, 0, row, 1, Tick::from_ns(150.0))).unwrap();
+        c.enqueue(read(3, 0, row, 2, Tick::from_ns(100.0))).unwrap();
+        assert_eq!(read_ids(&run_until_idle(&mut c, now)), [3, 2]);
+    }
+
+    #[test]
+    fn older_arrival_enqueued_later_takes_the_next_step() {
+        let mut c = ctrl(TimingSet::homogeneous_slow());
+        let row_a = c.channel().layout().slow_to_phys(0);
+        let row_b = c.channel().layout().slow_to_phys(1);
+        // The bank is closed, so no row hit exists: the oldest request's
+        // ACT goes first, and the younger one then conflicts with it.
+        let now = Tick::from_ns(200.0);
+        c.enqueue(read(2, 0, row_a, 0, Tick::from_ns(150.0)))
+            .unwrap();
+        c.enqueue(read(3, 0, row_b, 0, Tick::from_ns(100.0)))
+            .unwrap();
+        assert_eq!(read_ids(&run_until_idle(&mut c, now)), [3, 2]);
+    }
+
+    #[test]
+    fn equal_age_keys_are_served_in_push_order() {
+        for fast_first in [true, false] {
+            let mut c = ctrl(TimingSet::asymmetric());
+            let fast = c.channel().layout().fast_to_phys(0);
+            let slow = c.channel().layout().slow_to_phys(0);
+            let rows = if fast_first {
+                [fast, slow]
+            } else {
+                [slow, fast]
+            };
+            // Same id and arrival: only push order tells them apart.
+            for row in rows {
+                c.enqueue(read(7, 0, row, 0, Tick::ZERO)).unwrap();
+            }
+            let queued: Vec<u32> = c.reads.iter().map(|p| p.req.coord.row).collect();
+            assert_eq!(queued, rows);
+            let services: Vec<ServiceClass> = run_until_idle(&mut c, Tick::ZERO)
+                .iter()
+                .map(|d| match d {
+                    Completion::ReadDone { service, .. } => *service,
+                    _ => panic!(),
+                })
+                .collect();
+            let [first, second] = if fast_first {
+                [ServiceClass::FastMiss, ServiceClass::SlowMiss]
+            } else {
+                [ServiceClass::SlowMiss, ServiceClass::FastMiss]
+            };
+            assert_eq!(services, [first, second]);
+        }
+    }
+
+    /// Drives every scheduler/page/refresh/SALP combination with a seeded
+    /// stream in the simulator's call pattern. `pick` recomputes the
+    /// search on every memo hit under `cfg(test)`, so a change that
+    /// misses an invalidation fails here.
+    #[test]
+    fn memoised_pick_matches_a_fresh_search() {
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for combo in 0..16u32 {
+            let layout =
+                BankLayout::build(4096, FastRatio::new(1, 8), Arrangement::default(), 128, 512);
+            let dev = ChannelDevice::with_salp(
+                0,
+                2,
+                8,
+                layout,
+                TimingSet::asymmetric(),
+                combo & 1 != 0,
+                combo & 2 != 0,
+            );
+            let cfg = ControllerConfig {
+                scheduler: if combo & 4 != 0 {
+                    SchedulerKind::Fcfs
+                } else {
+                    SchedulerKind::FrFcfs
+                },
+                page_policy: if combo & 8 != 0 {
+                    PagePolicy::Closed
+                } else {
+                    PagePolicy::Open
+                },
+                migration_starvation: Tick::from_ns_int(200),
+                ..ControllerConfig::paper_default()
+            };
+            let mut c = MemoryController::new(cfg, dev);
+            let rows = [
+                c.channel().layout().fast_to_phys(0),
+                c.channel().layout().fast_to_phys(200),
+                c.channel().layout().slow_to_phys(0),
+                c.channel().layout().slow_to_phys(900),
+            ];
+            let mut now = Tick::ZERO;
+            for step in 0..1500u64 {
+                // The wake first, then arrivals at the same tick, each
+                // followed by a wake query, as the event loop orders them.
+                c.advance(now).unwrap();
+                let mut wake = c.next_action_time(now);
+                let r = next();
+                for k in 0..r % 4 {
+                    let r = next();
+                    let id = step * 4 + k;
+                    let bank = BankCoord::new(0, (r % 2) as u8, (r >> 1) as u8 % 4);
+                    if r % 8 == 0 {
+                        c.enqueue_swap(SwapOp {
+                            token: id,
+                            bank,
+                            phys_a: rows[2],
+                            phys_b: rows[0],
+                            kind: Default::default(),
+                            arrival: now,
+                        });
+                    } else {
+                        let req = Request {
+                            id,
+                            coord: MemCoord {
+                                bank,
+                                row: rows[(r >> 3) as usize % rows.len()],
+                                col: 0,
+                            },
+                            is_write: r % 3 == 0,
+                            arrival: now.saturating_sub(Tick::from_ns_int((r >> 8) % 300)),
+                        };
+                        let room = if req.is_write {
+                            c.can_accept_write()
+                        } else {
+                            c.can_accept_read()
+                        };
+                        if room {
+                            c.enqueue(req).unwrap();
+                        }
+                    }
+                    wake = c.next_action_time(now);
+                    assert_eq!(c.next_action_time(now), wake);
+                }
+                now = match wake {
+                    _ if r % 16 == 1 => now + Tick::from_ns_int(3000),
+                    Some(t) if r % 5 != 0 => t.max(now + Tick::new(1)),
+                    _ => now + Tick::from_ns_int((r >> 16) % 40),
+                };
+            }
+        }
     }
 
     #[test]
